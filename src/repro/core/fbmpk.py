@@ -13,16 +13,17 @@ summation order:
     forward/backward staging but streams each triangle twice per stage.
     Needs no ordering information — works on any matrix as-is.
 ``fbmpk_fused``
-    The production path.  Rows are partitioned into *sweep groups* (ABMC
-    colours/waves or dependency levels) such that every in-sweep
-    dependency falls in an earlier group; each group then computes its
-    contributions to **both** live iterates with a single fused
-    two-column product (``L_g @ [x_even, x_odd]``), so each triangle is
-    streamed exactly once per stage — the paper's
-    ``(k+1)/2``-matrix-reads pipeline, realised with numpy SpMM.
+    The production path.  Each stage walks the triangle in contiguous,
+    cache-sized row chunks (ascending for ``L``, descending for ``U``)
+    and updates **both** live iterates of a chunk while it is
+    cache-resident (:mod:`repro.parallel.sweep`), so each triangle is
+    streamed from memory once per stage — the paper's
+    ``(k+1)/2``-matrix-reads pipeline.  The parallel executors run the
+    same chunk kernel over the sweep groups' phases (ABMC colours or
+    dependency levels), one task per block.
 
 :func:`build_fbmpk_operator` performs the one-off preprocessing (split,
-optional ABMC reorder, group extraction) and returns an
+optional ABMC reorder, sweep groups) and returns an
 :class:`FBMPKOperator` whose :meth:`~FBMPKOperator.power` hides the
 permutation bookkeeping.
 """
@@ -45,18 +46,11 @@ from ..parallel.executor import (
 from ..parallel.dispatch import DescriptorBatch
 from ..parallel.procexec import ProcessPhaseExecutor
 from ..robust.validate import ensure_finite
-from ..parallel.scheduler import (
-    BlockTask,
-    Phase,
-    build_phases,
-    phases_from_groups,
-)
+from ..parallel.scheduler import Phase, build_phases, phases_from_groups
+from ..parallel.sweep import EVEN, ODD, RowChunk, blocked_update, chunk_ranges
 from ..reorder.abmc import ABMCOrdering, abmc_ordering
 from ..reorder.levels import compute_levels, levels_to_groups
 from ..reorder.levels_blocked import (
-    OP_EVEN,
-    OP_FINAL_ODD,
-    OP_ODD,
     LevelBlocking,
     blocked_descriptors,
     build_blocked_schedule,
@@ -64,7 +58,7 @@ from ..reorder.levels_blocked import (
     check_blocked_schedule,
 )
 from ..reorder.permute import permute_symmetric, permute_vector, unpermute_vector
-from ..sparse.csr import CSRMatrix, reduce_rows
+from ..sparse.csr import CSRMatrix
 from .btb import InterleavedPair
 from .partition import TriangularPartition, split_ldu
 
@@ -95,9 +89,11 @@ MODEL_CACHE_BYTES = 32 * 1024 * 1024
 class KernelCounter:
     """Instrumented pass/entry counters for verifying the access plan.
 
-    ``l_passes``/``u_passes`` increment once per full stream over the
-    respective triangle; ``l_entries``/``u_entries`` accumulate the number
-    of stored entries actually touched (group streams sum to full passes).
+    ``l_passes``/``u_passes`` increment once per stream of the respective
+    triangle from memory; ``l_entries``/``u_entries`` accumulate the
+    stored entries streamed (partial streams roll up into whole passes).
+    The sweep kernel reads each row chunk twice per stage, the second
+    time from cache, so a fused stage counts as one pass.
     """
 
     l_passes: int = 0
@@ -261,11 +257,13 @@ def fbmpk_unfused(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepGroups:
-    """Row partition driving the fused sweeps.
+    """Row partition that phases the parallel sweeps.
 
     ``forward``/``backward`` list row-index arrays in *processing order*;
     validity requires every strict-lower (resp. strict-upper) dependency
     of a group's rows to lie in a strictly earlier group of that sweep.
+    The parallel executors derive their phases from the groups when no
+    block-phase plan is given; the serial sweep does not need them.
     """
 
     forward: List[np.ndarray]
@@ -354,20 +352,6 @@ def make_sweep_groups_abmc(ordering: ABMCOrdering) -> SweepGroups:
 # ---------------------------------------------------------------------------
 # fused vectorised implementation
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SweepPart:
-    """One group's rows plus its pre-extracted triangle submatrix.
-
-    ``apply`` performs the fused two-column product ``sub @ XY``; with
-    the scipy backend it closes over a compiled CSR handle, with the
-    numpy backend over :meth:`CSRMatrix.matmat`.
-    """
-
-    rows: np.ndarray
-    nnz: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
 Backend = Literal["numpy", "scipy"]
 ExecutorKind = Literal["serial", "threads", "processes"]
 
@@ -415,15 +399,6 @@ def _as_float64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _make_matmat(sub: CSRMatrix, backend: Backend) -> Callable[[np.ndarray], np.ndarray]:
-    if backend == "scipy":
-        from ..sparse.convert import to_scipy_csr
-
-        handle = to_scipy_csr(sub)
-        return lambda XY: handle @ XY
-    return sub.matmat
-
-
 def _make_matvec(tri: CSRMatrix, backend: Backend) -> Callable[[np.ndarray], np.ndarray]:
     if backend == "scipy":
         from ..sparse.convert import to_scipy_csr
@@ -433,67 +408,47 @@ def _make_matvec(tri: CSRMatrix, backend: Backend) -> Callable[[np.ndarray], np.
     return tri.matvec
 
 
-def _extract_parts(tri: CSRMatrix, groups: Sequence[np.ndarray],
-                   backend: Backend) -> List[_SweepPart]:
-    parts = []
-    for rows in groups:
-        if not len(rows):
-            continue
-        rows = np.asarray(rows, dtype=np.int64)
-        sub = tri.select_rows(rows)
-        parts.append(_SweepPart(rows=rows, nnz=sub.nnz,
-                                apply=_make_matmat(sub, backend)))
-    return parts
+def _chunk_batch(tri: CSRMatrix, reverse: bool = False) -> DescriptorBatch:
+    """The serial schedule of one triangle: a one-phase batch of
+    contiguous, cache-sized row chunks (descending for ``U``)."""
+    return DescriptorBatch.one_phase(*chunk_ranges(tri.indptr,
+                                                   reverse=reverse))
 
 
-class _BlockKernel:
-    """Per-block compute of the threaded executor (one task, one thread).
+def _row_chunks(tri: CSRMatrix, batch: DescriptorBatch,
+                backend: Backend) -> List[RowChunk]:
+    """One :class:`RowChunk` of ``tri`` per descriptor, in batch order.
+    The scipy backend gives each chunk a compiled CSR handle over its
+    rows; the numpy backend reduces with ``reduce_rows``."""
+    chunks = [RowChunk(tri.indptr, tri.indices, tri.data, int(lo), int(hi))
+              for lo, hi in zip(batch.starts, batch.stops)]
+    if backend == "scipy":
+        from ..sparse.convert import to_scipy_csr
 
-    Processes a contiguous row range ``[start, stop)`` of one triangle in
-    two vectorised steps per stage.  Step 1 finishes the new iterate for
-    the whole block from values that are stable during the stage (the
-    even slots and ``tmp`` for the forward sweep, the odd slots and
-    ``tmp`` for the backward one); step 2 re-streams the block's rows
-    against the freshly written slots to leave ``tmp`` for the next
-    stage.  Intra-block dependencies are honoured because step 2 only
-    reads values written either in earlier phases (protected by the
-    colour barrier) or by step 1 of this very block, and same-colour
-    blocks share no matrix entries, so concurrently running blocks touch
-    disjoint vector elements — element-wise disjoint NumPy writes are
-    race-free.  The per-row reduction (:func:`reduce_rows`) performs the
-    same summation as the serial fused sweeps, which makes threaded and
-    serial results bit-identical.
-    """
+        for c in chunks:
+            shape = (c.rows.stop - c.rows.start, tri.n_cols)
+            c.handle = to_scipy_csr(
+                CSRMatrix(c.indptr, c.cols, c.data, shape, check=False))
+    return chunks
 
-    __slots__ = ("rows", "indptr", "cols", "data", "nnz")
 
-    def __init__(self, tri: CSRMatrix, task: BlockTask) -> None:
-        start, stop = task.start, task.stop
-        lo, hi = int(tri.indptr[start]), int(tri.indptr[stop])
-        self.rows = slice(start, stop)
-        self.indptr = tri.indptr[start:stop + 1] - lo
-        self.cols = tri.indices[lo:hi]
-        self.data = tri.data[lo:hi]
-        self.nnz = hi - lo
+def _traffic_stats(op):
+    """Lazy :class:`~repro.memsim.traffic.MatrixTrafficStats` of an
+    operator's matrix (bandwidth measured over both triangles), built
+    only when a telemetry session asks for the DRAM model and cached on
+    ``op._tstats``."""
+    if op._tstats is None:
+        from ..memsim.traffic import MatrixTrafficStats
 
-    def forward(self, XY: np.ndarray, tmp: np.ndarray,
-                d: np.ndarray) -> None:
-        """Forward-stage block update: finish the odd iterate for this
-        block and leave ``tmp = L x_odd + D x_odd`` on its rows."""
-        r = self.rows
-        new_odd = tmp[r] + d[r] * XY[r, 0] \
-            + reduce_rows(self.data * XY[self.cols, 0], self.indptr)
-        XY[r, 1] = new_odd
-        tmp[r] = reduce_rows(self.data * XY[self.cols, 1], self.indptr) \
-            + d[r] * new_odd
-
-    def backward(self, XY: np.ndarray, tmp: np.ndarray) -> None:
-        """Backward-stage block update: finish the even iterate for this
-        block and leave ``tmp = U x_even`` on its rows."""
-        r = self.rows
-        XY[r, 0] = tmp[r] \
-            + reduce_rows(self.data * XY[self.cols, 1], self.indptr)
-        tmp[r] = reduce_rows(self.data * XY[self.cols, 0], self.indptr)
+        bw = 1
+        for tri in (op.part.lower, op.part.upper):
+            if tri.nnz:
+                rows = np.repeat(np.arange(tri.n_rows, dtype=np.int64),
+                                 tri.row_nnz())
+                bw = max(bw, int(np.abs(rows - tri.indices).max()))
+        op._tstats = MatrixTrafficStats(
+            n=op.n, nnz=op.part.source_nnz, bandwidth=float(bw))
+    return op._tstats
 
 
 @dataclass
@@ -511,8 +466,8 @@ class _ThreadedState:
     bw_phases: List[Phase]
     fw_batch: DescriptorBatch
     bw_batch: DescriptorBatch
-    fw_kernels: List[_BlockKernel]
-    bw_kernels: List[_BlockKernel]
+    fw_kernels: List[RowChunk]
+    bw_kernels: List[RowChunk]
     pool: ThreadedPhaseExecutor
 
 
@@ -546,9 +501,9 @@ def fbmpk_fused(
     on_iterate: Optional[IterateCallback] = None,
     counter: Optional[KernelCounter] = None,
 ) -> np.ndarray:
-    """Fused FBMPK over precomputed sweep groups (convenience wrapper that
-    extracts group submatrices on the fly; prefer
-    :class:`FBMPKOperator` for repeated use)."""
+    """Fused FBMPK through a one-off :class:`FBMPKOperator`.
+
+    A convenience wrapper; build the operator once for repeated use."""
     op = FBMPKOperator(part, groups)
     return op.power(x, k, on_iterate=on_iterate, counter=counter)
 
@@ -556,13 +511,20 @@ def fbmpk_fused(
 class FBMPKOperator:
     """Preprocessed FBMPK executor (the library's main entry point).
 
-    Holds the ``L + D + U`` partition, the sweep groups and the per-group
-    triangle submatrices extracted once at construction — the "one-off
+    Holds the ``L + D + U`` partition and the sweep groups — the "one-off
     preprocessing whose overhead is amortised when A is reused", as the
     paper argues in Sections III and V-F.  When built through
     :func:`build_fbmpk_operator` with ABMC, the operator also owns the row
     permutation and transparently maps inputs/outputs to the original
     numbering.
+
+    Every executor runs the same chunk kernel of
+    :mod:`repro.parallel.sweep`.  The serial executor walks each
+    triangle in contiguous, cache-sized row chunks, which needs no
+    colour or level structure (``L`` only references earlier rows, ``U``
+    only later ones).  The parallel executors run one kernel per block
+    of the groups' phases: ABMC colours, or one phase per group.  All
+    three are bit-identical per backend.
 
     The operator retains its BtB iterate buffer and sweep temporary
     between calls (outputs are always copied out), so one instance must
@@ -629,6 +591,7 @@ class FBMPKOperator:
         self._phase_plan = phase_plan
         self._validate_phases = validate
         self._phases_checked = False
+        self._serial: Optional[Tuple[List[RowChunk], List[RowChunk]]] = None
         self._threaded: Optional[_ThreadedState] = None
         self._procs: Optional[_ProcState] = None
         # True while _xy_buf/_tmp_buf/_blk_buf are views into the
@@ -646,8 +609,6 @@ class FBMPKOperator:
         self._xy_buf: Optional[np.ndarray] = None
         self._tmp_buf: Optional[np.ndarray] = None
         self._blk_buf: Optional[np.ndarray] = None
-        self._fw = _extract_parts(part.lower, groups.forward, backend)
-        self._bw = _extract_parts(part.upper, groups.backward, backend)
         self._lower_matvec = _make_matvec(part.lower, backend)
         self._upper_matvec = _make_matvec(part.upper, backend)
 
@@ -742,27 +703,29 @@ class FBMPKOperator:
             fw, bw = self._built_phase_plan()
             fw_batch = DescriptorBatch.from_phases(fw, self.assign_policy)
             bw_batch = DescriptorBatch.from_phases(bw, self.assign_policy)
-            fw_kernels = [
-                _BlockKernel(self.part.lower,
-                             BlockTask(int(fw_batch.starts[g]),
-                                       int(fw_batch.stops[g]),
-                                       int(fw_batch.nnz[g])))
-                for g in range(fw_batch.n_blocks)]
-            bw_kernels = [
-                _BlockKernel(self.part.upper,
-                             BlockTask(int(bw_batch.starts[g]),
-                                       int(bw_batch.stops[g]),
-                                       int(bw_batch.nnz[g])))
-                for g in range(bw_batch.n_blocks)]
             self._threaded = _ThreadedState(
                 fw_phases=fw, bw_phases=bw,
                 fw_batch=fw_batch, bw_batch=bw_batch,
-                fw_kernels=fw_kernels, bw_kernels=bw_kernels,
+                fw_kernels=_row_chunks(self.part.lower, fw_batch,
+                                       self.backend),
+                bw_kernels=_row_chunks(self.part.upper, bw_batch,
+                                       self.backend),
                 pool=ThreadedPhaseExecutor(self.n_threads,
                                            self.assign_policy,
                                            hang_timeout=self.hang_timeout,
                                            claim_chunk=self.claim_chunk))
         return self._threaded
+
+    def _ensure_serial(self) -> Tuple[List[RowChunk], List[RowChunk]]:
+        """The serial chunk kernels of ``L`` (ascending) and ``U``
+        (descending), built on first serial use."""
+        if self._serial is None:
+            lower, upper = self.part.lower, self.part.upper
+            self._serial = (
+                _row_chunks(lower, _chunk_batch(lower), self.backend),
+                _row_chunks(upper, _chunk_batch(upper, reverse=True),
+                            self.backend))
+        return self._serial
 
     def _ensure_procs(self) -> _ProcState:
         """Build the process pool (and its shared-memory arena) on first
@@ -861,34 +824,6 @@ class FBMPKOperator:
         else:
             np.copyto(self._tmp_buf, head)
         return self._tmp_buf
-
-    # -- sweeps --------------------------------------------------------
-    def _forward_sweep(self, XY: np.ndarray, tmp: np.ndarray,
-                       d: np.ndarray, counter: Optional[KernelCounter]) -> None:
-        """One fused forward stage: finish the odd iterate and leave
-        ``tmp = L x_odd + D x_odd``, streaming L exactly once."""
-        l_total = self.part.lower.nnz
-        for p in self._fw:
-            rows = p.rows
-            prod = p.apply(XY)  # [:,0] = (L x_even)[rows], [:,1] = (L x_odd)[rows]
-            new_odd = tmp[rows] + d[rows] * XY[rows, 0] + prod[:, 0]
-            XY[rows, 1] = new_odd
-            tmp[rows] = prod[:, 1] + d[rows] * new_odd
-            if counter:
-                counter.count_l(p.nnz, l_total)
-
-    def _backward_sweep(self, XY: np.ndarray, tmp: np.ndarray,
-                        counter: Optional[KernelCounter]) -> None:
-        """One fused backward stage: finish the even iterate and leave
-        ``tmp = U x_even``, streaming U exactly once."""
-        u_total = self.part.upper.nnz
-        for p in self._bw:
-            rows = p.rows
-            prod = p.apply(XY)  # [:,0] = (U x_even)[rows], [:,1] = (U x_odd)[rows]
-            XY[rows, 0] = tmp[rows] + prod[:, 1]
-            tmp[rows] = prod[:, 0]
-            if counter:
-                counter.count_u(p.nnz, u_total)
 
     # -- public API ----------------------------------------------------
     def power(
@@ -1055,6 +990,8 @@ class FBMPKOperator:
             stats = ExecutionStats(n_threads=pstate.pool.n_workers,
                                    policy=pstate.pool.policy)
             self.last_stats = stats
+        else:
+            fw, bw = self._ensure_serial()
         power = 0
         for _ in range(k // 2):
             with obs.span("fbmpk.sweep", sweep="forward",
@@ -1068,8 +1005,9 @@ class FBMPKOperator:
                     pstate.pool.run_batched(pstate.fw_plan, "forward",
                                             stats)
                 else:
-                    self._forward_sweep(XY, tmp, d, counter)
-                if (threaded or procs) and counter:
+                    for chunk in fw:
+                        chunk.forward(XY, tmp, d)
+                if counter:
                     counter.count_l(self.part.lower.nnz,
                                     self.part.lower.nnz)
             power += 1
@@ -1089,8 +1027,9 @@ class FBMPKOperator:
                     pstate.pool.run_batched(pstate.bw_plan, "backward",
                                             stats)
                 else:
-                    self._backward_sweep(XY, tmp, counter)
-                if (threaded or procs) and counter:
+                    for chunk in bw:
+                        chunk.backward(XY, tmp)
+                if counter:
                     counter.count_u(self.part.upper.nnz,
                                     self.part.upper.nnz)
             power += 1
@@ -1114,24 +1053,6 @@ class FBMPKOperator:
         return self._out(XY[:, 0], out)
 
     # -- telemetry ------------------------------------------------------
-    def _traffic_stats(self):
-        """Lazy :class:`~repro.memsim.traffic.MatrixTrafficStats` of the
-        operator's matrix (bandwidth measured over both triangles),
-        built only when a telemetry session asks for the DRAM model."""
-        if self._tstats is None:
-            from ..memsim.traffic import MatrixTrafficStats
-
-            bw = 1
-            for tri in (self.part.lower, self.part.upper):
-                if tri.nnz:
-                    rows = np.repeat(
-                        np.arange(tri.n_rows, dtype=np.int64),
-                        tri.row_nnz())
-                    bw = max(bw, int(np.abs(rows - tri.indices).max()))
-            self._tstats = MatrixTrafficStats(
-                n=self.n, nnz=self.part.source_nnz, bandwidth=float(bw))
-        return self._tstats
-
     def _publish_power_telemetry(self, k: int,
                                  counter: Optional[KernelCounter],
                                  snap) -> None:
@@ -1156,7 +1077,7 @@ class FBMPKOperator:
         obs.add_counter("fbmpk.standard_matrix_reads", k, unit="A-reads")
         from ..memsim.traffic import fbmpk_traffic, mpk_standard_traffic
 
-        stats = self._traffic_stats()
+        stats = _traffic_stats(self)
         fb = fbmpk_traffic(stats, k, MODEL_CACHE_BYTES).total_bytes
         std = mpk_standard_traffic(stats, k, MODEL_CACHE_BYTES).total_bytes
         obs.add_counter("fbmpk.model.dram_bytes", fb, unit="bytes")
@@ -1175,7 +1096,9 @@ class FBMPKOperator:
         filters, block power iteration): all ``m`` columns advance
         through the same fused sweeps, so each triangle is still
         streamed once per stage — the matrix reads are amortised over
-        the whole block, not paid per column.
+        the whole block, not paid per column.  With the numpy backend each
+        column of the result is bit-identical to :meth:`power` of that
+        column.
 
         The working buffer interleaves each column's even/odd iterates
         (columns ``2j``/``2j + 1``), the block generalisation of the BtB
@@ -1183,7 +1106,7 @@ class FBMPKOperator:
         shared-memory worker pool (the interleaved block buffer lives in
         a shared segment), bit-identical to the serial path and with the
         same :class:`PhaseExecutionError` containment as :meth:`power`;
-        any other executor runs the serial fused sweeps.  ``out``, if
+        any other executor runs the serial chunk sweeps.  ``out``, if
         given, receives the ``(n, m)`` result instead of a fresh
         allocation.  ``check_finite=True`` validates the input block and
         every completed stage pair (see :meth:`power`).
@@ -1196,6 +1119,7 @@ class FBMPKOperator:
         out = self._check_out(out, X.shape)
         if check_finite:
             ensure_finite(X, "input block X")
+        self.last_stats = None
         if self.perm is not None:
             X = X[self.perm]
         if k == 0:
@@ -1210,14 +1134,14 @@ class FBMPKOperator:
                       executor=mode):
             if mode == "serial":
                 Y, owned = self._power_block_body(X, k, counter,
-                                                  check_finite)
+                                                  check_finite, mode)
             else:
                 fallback = self.on_failure == "fallback_serial"
                 counter_saved = _snapshot_counter(counter) if fallback \
                     else None
                 try:
-                    Y, owned = self._power_block_procs(X, k, counter,
-                                                       check_finite)
+                    Y, owned = self._power_block_body(X, k, counter,
+                                                      check_finite, mode)
                 except PhaseExecutionError:
                     self.close()
                     # Same zombie-writer defence as power(): see there.
@@ -1231,7 +1155,8 @@ class FBMPKOperator:
                     _restore_counter(counter, counter_saved)
                     self.last_stats = None
                     Y, owned = self._power_block_body(X, k, counter,
-                                                      check_finite)
+                                                      check_finite,
+                                                      "serial")
                 except BaseException:
                     # Mid-call NonFiniteError etc. must not leak the
                     # worker pool or its shared segments.
@@ -1242,93 +1167,57 @@ class FBMPKOperator:
 
     def _power_block_body(self, X: np.ndarray, k: int,
                           counter: Optional[KernelCounter],
-                          check_finite: bool
+                          check_finite: bool, mode: str
                           ) -> Tuple[np.ndarray, bool]:
-        """Serial fused block sweeps over the persistent interleaved
-        buffer; returns ``(Y, owned)`` in the operator's numbering,
-        ``owned=False`` meaning ``Y`` aliases the working buffer."""
+        """Fused block sweeps over the persistent interleaved buffer,
+        serially or on the process pool (``mode``); returns ``(Y,
+        owned)`` in the operator's numbering, ``owned=False`` meaning
+        ``Y`` aliases the working buffer.  On the process pool the block
+        buffer and the temporary live in shared segments and dispatch
+        ships only block descriptors."""
         m = X.shape[1]
         d = self.part.diag[:, None]
-        if self._blk_buf is None or self._blk_buf.shape[1] != 2 * m:
-            self._blk_buf = np.zeros((self.n, 2 * m), dtype=np.float64)
-        XY = self._blk_buf
-        XY[:, 0::2] = X
-        XY[:, 1::2] = 0.0
-        tmp = self.part.upper.matmat(X)
-        if counter:
-            counter.count_u(self.part.upper.nnz, self.part.upper.nnz)
-        l_total = self.part.lower.nnz
-        u_total = self.part.upper.nnz
-        stage = 0
-        for _ in range(k // 2):
-            with obs.span("fbmpk.sweep", sweep="forward",
-                          power_step=stage + 1):
-                for p in self._fw:
-                    rows = p.rows
-                    prod = p.apply(XY)
-                    new_odd = tmp[rows] + d[rows] * XY[rows, 0::2] \
-                        + prod[:, 0::2]
-                    XY[rows, 1::2] = new_odd
-                    tmp[rows] = prod[:, 1::2] + d[rows] * new_odd
-                    if counter:
-                        counter.count_l(p.nnz, l_total)
-            with obs.span("fbmpk.sweep", sweep="backward",
-                          power_step=stage + 2):
-                for p in self._bw:
-                    rows = p.rows
-                    prod = p.apply(XY)
-                    XY[rows, 0::2] = tmp[rows] + prod[:, 1::2]
-                    tmp[rows] = prod[:, 0::2]
-                    if counter:
-                        counter.count_u(p.nnz, u_total)
-            stage += 2
-            if check_finite:
-                ensure_finite(XY, f"block iterates through A^{stage} X")
-        if k % 2:
-            even = XY[:, 0::2]
-            with obs.span("fbmpk.tail", sweep="tail", power_step=k):
-                Y = self.part.lower.matmat(even) + tmp + d * even
-            if counter:
-                counter.count_l(l_total, l_total)
-            if check_finite:
-                ensure_finite(Y, f"block iterate A^{k} X")
-            return Y, True
-        return XY[:, 0::2], False
-
-    def _power_block_procs(self, X: np.ndarray, k: int,
-                           counter: Optional[KernelCounter],
-                           check_finite: bool
-                           ) -> Tuple[np.ndarray, bool]:
-        """Block sweeps on the process pool: the interleaved block
-        buffer and the block temporary live in shared segments, dispatch
-        ships only block descriptors.  Same return contract as
-        :meth:`_power_block_body`."""
-        pstate = self._ensure_procs()
-        m = X.shape[1]
-        XY, tmp = pstate.pool.ensure_block(m)
+        procs = mode == "processes"
+        head = self.part.upper.matmat(X)
+        if procs:
+            pstate = self._ensure_procs()
+            XY, tmp = pstate.pool.ensure_block(m)
+            np.copyto(tmp, head)
+            stats = ExecutionStats(n_threads=pstate.pool.n_workers,
+                                   policy=pstate.pool.policy)
+            self.last_stats = stats
+        else:
+            fw, bw = self._ensure_serial()
+            XY = self._blk_buf
+            if XY is None or XY.shape[1] != 2 * m:
+                XY = np.empty((self.n, 2 * m), dtype=np.float64)
+            tmp = head
         self._blk_buf = XY
-        d = self.part.diag[:, None]
-        XY[:, 0::2] = X
-        XY[:, 1::2] = 0.0
-        np.copyto(tmp, self.part.upper.matmat(X))
+        XY[:, EVEN] = X
+        XY[:, ODD] = 0.0
         if counter:
             counter.count_u(self.part.upper.nnz, self.part.upper.nnz)
-        stats = ExecutionStats(n_threads=pstate.pool.n_workers,
-                               policy=pstate.pool.policy)
-        self.last_stats = stats
         stage = 0
         for _ in range(k // 2):
             with obs.span("fbmpk.sweep", sweep="forward",
                           power_step=stage + 1):
-                pstate.pool.run_batched(pstate.fw_plan, "forward_block",
-                                        stats)
+                if procs:
+                    pstate.pool.run_batched(pstate.fw_plan, "forward_block",
+                                            stats)
+                else:
+                    for chunk in fw:
+                        chunk.forward(XY, tmp, d, EVEN, ODD)
                 if counter:
                     counter.count_l(self.part.lower.nnz,
                                     self.part.lower.nnz)
             with obs.span("fbmpk.sweep", sweep="backward",
                           power_step=stage + 2):
-                pstate.pool.run_batched(pstate.bw_plan, "backward_block",
-                                        stats)
+                if procs:
+                    pstate.pool.run_batched(pstate.bw_plan,
+                                            "backward_block", stats)
+                else:
+                    for chunk in bw:
+                        chunk.backward(XY, tmp, EVEN, ODD)
                 if counter:
                     counter.count_u(self.part.upper.nnz,
                                     self.part.upper.nnz)
@@ -1336,7 +1225,7 @@ class FBMPKOperator:
             if check_finite:
                 ensure_finite(XY, f"block iterates through A^{stage} X")
         if k % 2:
-            even = XY[:, 0::2]
+            even = XY[:, EVEN]
             with obs.span("fbmpk.tail", sweep="tail", power_step=k):
                 Y = self.part.lower.matmat(even) + tmp + d * even
             if counter:
@@ -1344,7 +1233,7 @@ class FBMPKOperator:
             if check_finite:
                 ensure_finite(Y, f"block iterate A^{k} X")
             return Y, True
-        return XY[:, 0::2], False
+        return XY[:, EVEN], False
 
     def _finish_block(self, Y: np.ndarray, out: Optional[np.ndarray],
                       owned: bool) -> np.ndarray:
@@ -1450,59 +1339,15 @@ class FBMPKOperator:
         return self.groups.n_forward + self.groups.n_backward
 
 
-class _BlockedRunKernel:
-    """Per-row-run compute of the levels-blocked schedule.
-
-    Caches the local CSR views of **both** triangles for one contiguous
-    row range; :meth:`run` applies one power's ping-pong update with the
-    association order the op tag demands.  The same kernel instance is
-    reused for every power that visits the run, so the per-descriptor
-    lists of all cached ``k`` plans share one kernel per distinct run.
-    """
-
-    __slots__ = ("rows", "lip", "lcols", "ldata", "uip", "ucols", "udata",
-                 "nnz")
-
-    def __init__(self, lower: CSRMatrix, upper: CSRMatrix,
-                 start: int, stop: int) -> None:
-        self.rows = slice(start, stop)
-        llo, lhi = int(lower.indptr[start]), int(lower.indptr[stop])
-        self.lip = lower.indptr[start:stop + 1] - llo
-        self.lcols = lower.indices[llo:lhi]
-        self.ldata = lower.data[llo:lhi]
-        ulo, uhi = int(upper.indptr[start]), int(upper.indptr[stop])
-        self.uip = upper.indptr[start:stop + 1] - ulo
-        self.ucols = upper.indices[ulo:uhi]
-        self.udata = upper.data[ulo:uhi]
-        self.nnz = (lhi - llo) + (uhi - ulo)
-
-    def run(self, XY: np.ndarray, d: np.ndarray, op: int) -> None:
-        """Same arithmetic as the ``"blocked"`` sweep of
-        :class:`repro.parallel.procexec._Views` (bit-identical by
-        construction)."""
-        r = self.rows
-        rs, ws = (1, 0) if op == OP_EVEN else (0, 1)
-        xin = XY[:, rs]
-        lsum = reduce_rows(self.ldata * xin[self.lcols], self.lip)
-        usum = reduce_rows(self.udata * xin[self.ucols], self.uip)
-        dx = d[r] * xin[r]
-        if op == OP_ODD:
-            XY[r, ws] = usum + dx + lsum
-        elif op == OP_EVEN:
-            XY[r, ws] = lsum + dx + usum
-        elif op == OP_FINAL_ODD:
-            XY[r, ws] = lsum + usum + dx
-        else:
-            raise ValueError(f"unknown blocked op {op!r}")
-
-
 @dataclass
 class _BlockedPlan:
     """One ``k``'s cached levels-blocked schedule artefacts."""
 
     batch: DescriptorBatch
     n_phases: int
-    kernels: Optional[List[_BlockedRunKernel]] = None  # lazy (serial/threads)
+    #: Per-descriptor ``(L, U)`` chunk pairs, built lazily (serial and
+    #: threads backends).
+    kernels: Optional[List[Tuple[RowChunk, RowChunk]]] = None
 
 
 @dataclass
@@ -1577,7 +1422,8 @@ class LevelsBlockedOperator:
         self.blocking: LevelBlocking = build_level_blocking(
             part.lower, part.upper, self.block_rows)
         self._plans: Dict[int, _BlockedPlan] = {}
-        self._run_kernels: Dict[Tuple[int, int], _BlockedRunKernel] = {}
+        self._run_kernels: Dict[Tuple[int, int],
+                                Tuple[RowChunk, RowChunk]] = {}
         self._pool: Optional[ThreadedPhaseExecutor] = None
         self._procs: Optional[_ProcBlockedState] = None
         self._xy_buf: Optional[np.ndarray] = None
@@ -1611,18 +1457,23 @@ class LevelsBlockedOperator:
             self._plans[k] = plan
         return plan
 
-    def _kernels_for(self, plan: _BlockedPlan) -> List[_BlockedRunKernel]:
-        """Descriptor-aligned kernel list (serial and threads backends);
-        distinct row runs share one kernel across all powers and plans."""
+    def _kernels_for(self, plan: _BlockedPlan
+                     ) -> List[Tuple[RowChunk, RowChunk]]:
+        """Descriptor-aligned ``(L, U)`` chunk pairs (serial and threads
+        backends); distinct row runs share one pair across all powers
+        and plans."""
         if plan.kernels is None:
-            kernels: List[_BlockedRunKernel] = []
+            kernels: List[Tuple[RowChunk, RowChunk]] = []
             batch = plan.batch
+            lower, upper = self.part.lower, self.part.upper
             for g in range(batch.n_blocks):
                 key = (int(batch.starts[g]), int(batch.stops[g]))
                 kern = self._run_kernels.get(key)
                 if kern is None:
-                    kern = _BlockedRunKernel(self.part.lower,
-                                             self.part.upper, *key)
+                    kern = (RowChunk(lower.indptr, lower.indices,
+                                     lower.data, *key),
+                            RowChunk(upper.indptr, upper.indices,
+                                     upper.data, *key))
                     self._run_kernels[key] = kern
                 kernels.append(kern)
             plan.kernels = kernels
@@ -1798,7 +1649,8 @@ class LevelsBlockedOperator:
                 self.last_stats = stats
                 pool.run_batched(
                     batch,
-                    lambda g: kernels[g].run(XY, d, int(ops[g])),
+                    lambda g: blocked_update(*kernels[g], XY, d,
+                                             int(ops[g])),
                     stats)
             elif procs:
                 stats = ExecutionStats(n_threads=pstate.pool.n_workers,
@@ -1809,7 +1661,7 @@ class LevelsBlockedOperator:
                 kernels = self._kernels_for(plan)
                 ops = batch.ops
                 for g in range(batch.n_blocks):
-                    kernels[g].run(XY, d, int(ops[g]))
+                    blocked_update(*kernels[g], XY, d, int(ops[g]))
         if counter:
             l_total = self.part.lower.nnz
             u_total = self.part.upper.nnz
@@ -1825,23 +1677,6 @@ class LevelsBlockedOperator:
         return y.copy()
 
     # -- telemetry ------------------------------------------------------
-    def _traffic_stats(self):
-        """Lazy traffic stats of the operator's matrix (same measurement
-        as :meth:`FBMPKOperator._traffic_stats`)."""
-        if self._tstats is None:
-            from ..memsim.traffic import MatrixTrafficStats
-
-            bw = 1
-            for tri in (self.part.lower, self.part.upper):
-                if tri.nnz:
-                    rows = np.repeat(
-                        np.arange(tri.n_rows, dtype=np.int64),
-                        tri.row_nnz())
-                    bw = max(bw, int(np.abs(rows - tri.indices).max()))
-            self._tstats = MatrixTrafficStats(
-                n=self.n, nnz=self.part.source_nnz, bandwidth=float(bw))
-        return self._tstats
-
     def _publish_power_telemetry(self, k: int,
                                  counter: Optional[KernelCounter],
                                  snap) -> None:
@@ -1863,7 +1698,7 @@ class LevelsBlockedOperator:
         obs.add_counter("fbmpk.standard_matrix_reads", k, unit="A-reads")
         from ..memsim.traffic import fbmpk_traffic, levels_blocked_traffic
 
-        stats = self._traffic_stats()
+        stats = _traffic_stats(self)
         lb = levels_blocked_traffic(stats, k, MODEL_CACHE_BYTES,
                                     block_rows=self.block_rows).total_bytes
         fb = fbmpk_traffic(stats, k, MODEL_CACHE_BYTES).total_bytes
@@ -1887,7 +1722,7 @@ def build_fbmpk_operator(
     claim_chunk: Optional[int] = None,
     pin_workers: Optional[bool] = None,
 ):
-    """One-off preprocessing: split, (optionally) reorder, group, extract.
+    """One-off preprocessing: split, (optionally) reorder, group.
 
     ``strategy="abmc"`` reorders the matrix with
     :func:`repro.reorder.abmc.abmc_ordering` (the paper's parallelisation)

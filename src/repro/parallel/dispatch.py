@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +101,6 @@ class DescriptorBatch:
     phase_ptr: np.ndarray
     colors: np.ndarray
     policy: str = "lpt"
-    _phases: Tuple[Phase, ...] = field(default=(), repr=False)
     #: Optional per-descriptor update-kind tags (int64, aligned with
     #: ``starts``).  Colour-phase sweeps leave this ``None`` (the sweep
     #: name fixes the kernel); the levels-blocked schedule mixes powers
@@ -111,8 +110,8 @@ class DescriptorBatch:
     @classmethod
     def from_phases(cls, phases: Sequence[Phase],
                     policy: str = "lpt") -> "DescriptorBatch":
-        """Pack ``phases`` (the legacy schedule) into descriptor arrays,
-        ordering each phase's blocks per :func:`ordered_tasks`."""
+        """Pack ``phases`` into descriptor arrays, ordering each phase's
+        blocks per :func:`ordered_tasks`."""
         starts: List[int] = []
         stops: List[int] = []
         nnzs: List[int] = []
@@ -132,7 +131,20 @@ class DescriptorBatch:
             phase_ptr=np.asarray(ptr, dtype=np.int64),
             colors=np.asarray(colors, dtype=np.int64),
             policy=policy,
-            _phases=tuple(phases),
+        )
+
+    @classmethod
+    def one_phase(cls, starts: np.ndarray, stops: np.ndarray,
+                  nnz: np.ndarray) -> "DescriptorBatch":
+        """A single-phase batch whose descriptors keep the given order
+        (the serial sweep's row chunks, which depend on it)."""
+        return cls(
+            starts=np.asarray(starts, dtype=np.int64),
+            stops=np.asarray(stops, dtype=np.int64),
+            nnz=np.asarray(nnz, dtype=np.int64),
+            phase_ptr=np.asarray([0, len(starts)], dtype=np.int64),
+            colors=np.zeros(1, dtype=np.int64),
+            policy="round_robin",
         )
 
     @property
@@ -153,12 +165,6 @@ class DescriptorBatch:
 
     def phase_color(self, pi: int) -> int:
         return int(self.colors[pi])
-
-    @property
-    def phases(self) -> Tuple[Phase, ...]:
-        """The legacy :class:`Phase` list this batch was built from
-        (kept for the serial-fallback path)."""
-        return self._phases
 
     @classmethod
     def from_op_phases(cls, phases: Sequence[Sequence[Tuple[int, int,

@@ -2,12 +2,12 @@
 
 Where :mod:`repro.parallel.simthread` *predicts* what a ``T``-thread
 execution of a phase schedule would cost, this module actually *runs*
-one: each phase's block tasks are dealt to a persistent
-:class:`concurrent.futures.ThreadPoolExecutor` using the same static
-assignment policies as the simulator (``round_robin``/``lpt``/
-``dynamic``), every worker processes its blocks back to back, and the
-phase ends with one barrier — exactly the "allocated in advance" OpenMP
-structure of the paper's parallel FBMPK.
+one: the schedule is a :class:`~repro.parallel.dispatch.DescriptorBatch`,
+every worker of a persistent :class:`concurrent.futures.ThreadPoolExecutor`
+claims the phase's blocks from a shared cursor (in the order the
+assignment policy ``round_robin``/``lpt``/``dynamic`` fixes), and the
+phase ends with one barrier — the OpenMP structure of the paper's
+parallel FBMPK.
 
 Python threads are real OS threads here: the NumPy gather/reduce kernels
 that do the per-block work drop the GIL for their inner loops, so
@@ -32,8 +32,8 @@ under the ``faults.injected_delay_s`` counter instead.
 
 Failure containment: a crashed block task aborts its phase with a typed
 :class:`~repro.robust.errors.PhaseExecutionError` carrying the full
-scheduling context (phase, colour, block row range, thread bin).  The
-barrier *always* drains — every submitted bin is awaited before the
+scheduling context (phase, colour, block row range, worker slot).  The
+barrier *always* drains — every submitted worker is awaited before the
 error propagates — and the pool is shut down before raising, so a failed
 run can never leak worker threads or deadlock a barrier.  The
 ``on_failure="fallback_serial"`` policy additionally re-runs the whole
@@ -60,7 +60,7 @@ from ..robust.errors import PhaseExecutionError
 from ..robust.faults import fire_timed as _fire_fault_timed
 from ..sparse.csr import CSRMatrix
 from .dispatch import DescriptorBatch, ThreadCursor, default_claim_chunk
-from .scheduler import BlockTask, Phase, assign_tasks
+from .scheduler import BlockTask, Phase
 
 __all__ = [
     "PhaseRecord",
@@ -70,8 +70,6 @@ __all__ = [
     "check_phases",
     "spawn_daemon_pool",
 ]
-
-TaskRunner = Callable[[BlockTask], None]
 
 #: Batched-mode task runner: called with a *global descriptor index*
 #: into the :class:`~repro.parallel.dispatch.DescriptorBatch`.
@@ -94,11 +92,10 @@ class ExecutionStats:
 
     The counterpart of :class:`repro.parallel.simthread.SimulatedRun`:
     ``phase_wall_s`` are measured per-phase makespans (work plus the
-    closing barrier), ``thread_busy_s[i]`` accumulates the time *bin*
-    ``i`` of the static assignment spent inside block kernels (bins map
-    one-to-one onto the simulator's threads; the pool may hand a bin to
-    any free OS thread), and ``barriers`` counts phase-end
-    synchronisations.
+    closing barrier), ``thread_busy_s[i]`` accumulates the time worker
+    slot ``i`` spent inside block kernels (slots map one-to-one onto the
+    simulator's threads; the pool may run a slot on any free OS
+    thread), and ``barriers`` counts phase-end synchronisations.
     """
 
     n_threads: int
@@ -106,10 +103,9 @@ class ExecutionStats:
     phases: List[PhaseRecord] = field(default_factory=list)
     thread_busy_s: List[float] = field(default_factory=list)
     barriers: int = 0
-    #: Dispatch messages sent (batched path: one per phase per worker;
-    #: legacy path leaves this at 0 — it predates the counter).
+    #: Dispatch messages sent (one per phase per worker).
     enqueues: int = 0
-    #: Cursor chunk claims performed by workers (batched path only).
+    #: Cursor chunk claims performed by workers.
     steals: int = 0
 
     def __post_init__(self) -> None:
@@ -210,7 +206,7 @@ def spawn_daemon_pool(max_workers: int,
 
 
 class _TaskFailure(Exception):
-    """Internal wrapper identifying *which* task of a bin crashed."""
+    """Internal wrapper identifying *which* task of a worker crashed."""
 
     def __init__(self, task: BlockTask, slot: int,
                  cause: BaseException) -> None:
@@ -225,29 +221,29 @@ class ThreadedPhaseExecutor:
 
     The pool is created once and reused across sweeps and ``power``
     calls (worker spin-up is a preprocessing cost, like the paper's
-    OpenMP runtime warm-up).  Within a phase, tasks are statically
-    assigned to ``n_threads`` bins by :func:`assign_tasks`, every
-    non-empty bin becomes one pool submission, and the phase returns
-    only when all bins have finished — the barrier.
+    OpenMP runtime warm-up).  Within a phase, each of the
+    ``n_threads`` workers is one pool submission claiming blocks from a
+    shared cursor, and the phase returns only when all workers have
+    finished — the barrier.
 
     A worker exception aborts the run at that barrier: the remaining
-    bins are drained (no orphaned writers), the pool is shut down
+    workers are drained (no orphaned writers), the pool is shut down
     (``shutdown(wait=True)``, no leaked threads), and what happens next
     is the ``on_failure`` policy:
 
     ``"raise"`` (default)
         A :class:`PhaseExecutionError` with the failed task's phase,
-        colour, row range and thread bin propagates; the original
+        colour, row range and worker slot propagates; the original
         exception is chained as ``__cause__``.
     ``"fallback_serial"``
         If the caller provided a ``reset`` callback to
-        :meth:`run_phases`, the state is rolled back and every phase is
+        :meth:`run_batched`, the state is rolled back and every phase is
         re-executed serially in the calling thread — bit-identical to a
         clean serial run (same task order, same kernels, no concurrency).
         Without ``reset`` the executor cannot roll back caller state and
         raises exactly like ``"raise"``.
 
-    ``hang_timeout`` bounds each phase's barrier wait: if any bin has
+    ``hang_timeout`` bounds each phase's barrier wait: if any worker has
     not finished ``hang_timeout`` seconds after the barrier was entered,
     the phase fails with a :class:`PhaseExecutionError` and the pool is
     *abandoned* (``shutdown(wait=False)``) rather than joined — Python
@@ -337,154 +333,6 @@ class ThreadedPhaseExecutor:
 
     # -- execution ------------------------------------------------------
     @staticmethod
-    def _run_bin(tasks: Sequence[BlockTask], run_task: TaskRunner,
-                 busy: List[float], slot: int, phase_index: int,
-                 color: int) -> None:
-        t0 = time.perf_counter()
-        # Chaos-hook time is *not* work: injected delays are measured
-        # separately, subtracted from the bin's busy time, and booked
-        # under the faults.injected_delay_s counter, so fault-injection
-        # runs stay comparable to clean runs.
-        fault_s = 0.0
-        try:
-            for task in tasks:
-                try:
-                    fault_s += _fire_fault_timed(
-                        "executor.task", phase_index=phase_index,
-                        color=color, start=task.start,
-                        stop=task.stop, thread=slot)
-                    run_task(task)
-                except BaseException as exc:
-                    raise _TaskFailure(task, slot, exc) from exc
-        finally:
-            busy[slot] += time.perf_counter() - t0 - fault_s
-            if fault_s:
-                obs.add_counter("faults.injected_delay_s", fault_s,
-                                unit="s")
-
-    def run_serial(
-        self,
-        phases: Sequence[Phase],
-        run_task: TaskRunner,
-        stats: Optional[ExecutionStats] = None,
-    ) -> ExecutionStats:
-        """Execute ``phases`` serially in the calling thread, tasks in
-        declared order — the executor's safe mode (no pool, no chaos
-        hooks) and the reference the threaded path must be bit-identical
-        to.  Busy time accrues to bin 0."""
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_threads,
-                                   policy=self.policy)
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="serial"):
-                t0 = time.perf_counter()
-                for task in phase.tasks:
-                    run_task(task)
-                elapsed = time.perf_counter() - t0
-            stats.thread_busy_s[0] += elapsed
-            stats.barriers += 1
-            stats.phases.append(PhaseRecord(
-                color=phase.color, n_tasks=len(phase.tasks),
-                nnz=phase.total_nnz, wall_s=elapsed))
-            self._record_phase(phase, elapsed)
-        return stats
-
-    def run_phases(
-        self,
-        phases: Sequence[Phase],
-        run_task: TaskRunner,
-        stats: Optional[ExecutionStats] = None,
-        reset: Optional[Callable[[], None]] = None,
-    ) -> ExecutionStats:
-        """Execute ``phases`` in order, calling ``run_task`` once per
-        block, with a barrier after every phase.
-
-        ``stats`` may be passed to accumulate several sweeps (e.g. the
-        forward and backward stages of one ``power`` call) into a single
-        record; a fresh one is created otherwise.
-
-        ``reset`` is the rollback hook of the ``"fallback_serial"``
-        failure policy: a zero-argument callable restoring the caller's
-        state to what it was when this call started.  On a worker crash
-        the executor drains the phase, shuts the pool down, rolls the
-        stats and caller state back, and re-runs everything via
-        :meth:`run_serial`.
-        """
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_threads,
-                                   policy=self.policy)
-        # Snapshot for the fallback path: stats must not double-count the
-        # aborted attempt.
-        snap = (len(stats.phases), stats.barriers,
-                list(stats.thread_busy_s))
-        pool = self._ensure_pool()
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="threads"):
-                t0 = time.perf_counter()
-                bins = assign_tasks(phase.tasks, self.n_threads,
-                                    policy=self.policy)
-                futures = [
-                    pool.submit(self._run_bin, b, run_task,
-                                stats.thread_busy_s, i, pi, phase.color)
-                    for i, b in enumerate(bins) if b
-                ]
-                # Barrier.  Always drain *every* submitted bin, even
-                # after a failure — otherwise still-running workers
-                # would write into caller state behind our back.  With a
-                # hang_timeout the drain itself is bounded: a bin that
-                # misses it marks the phase hung and the pool is
-                # abandoned, not joined.
-                failure: Optional[BaseException] = None
-                hung = False
-                done, not_done = _futures_wait(futures,
-                                               timeout=self.hang_timeout)
-                for f in done:
-                    try:
-                        f.result()
-                    except BaseException as exc:
-                        if failure is None:
-                            failure = exc
-                if not_done:
-                    hung = True
-                    obs.add_counter("executor.hung_phases")
-                    if failure is None:
-                        failure = PhaseExecutionError(
-                            f"{len(not_done)} bin(s) still running "
-                            f"{self.hang_timeout}s after the phase "
-                            f"barrier was entered",
-                            phase_index=pi, color=phase.color)
-                elapsed = time.perf_counter() - t0
-            if failure is not None:
-                if hung:
-                    self._abandon_pool()  # joining would hang us too
-                else:
-                    self.close()  # no leaked threads, ever
-                obs.add_counter("executor.failed_phases")
-                if self.on_failure == "fallback_serial" and reset is not None:
-                    stats.phases[:] = stats.phases[:snap[0]]
-                    stats.barriers = snap[1]
-                    stats.thread_busy_s[:] = snap[2]
-                    reset()
-                    return self.run_serial(phases, run_task, stats)
-                wrapped = self._wrap_failure(failure, pi, phase)
-                if wrapped is failure:  # already typed (hang timeout)
-                    raise wrapped
-                raise wrapped from (
-                    failure.cause if isinstance(failure, _TaskFailure)
-                    else failure)
-            stats.barriers += 1
-            stats.phases.append(PhaseRecord(
-                color=phase.color, n_tasks=len(phase.tasks),
-                nnz=phase.total_nnz, wall_s=elapsed))
-            self._record_phase(phase, elapsed)
-        return stats
-
-    # -- batched descriptor execution -----------------------------------
-    @staticmethod
     def _run_claim_loop(batch: DescriptorBatch, cursor: ThreadCursor,
                         hi: int, chunk: int, run_desc: DescRunner,
                         busy: List[float], steals: List[int], slot: int,
@@ -494,6 +342,10 @@ class ThreadedPhaseExecutor:
         worker that claims nothing (more workers than blocks) returns
         immediately — its future is the barrier contribution."""
         t0 = time.perf_counter()
+        # Chaos-hook time is *not* work: injected delays are measured
+        # separately, subtracted from the worker's busy time, and booked
+        # under the faults.injected_delay_s counter, so fault-injection
+        # runs stay comparable to clean runs.
         fault_s = 0.0
         try:
             while True:
@@ -558,15 +410,20 @@ class ThreadedPhaseExecutor:
         """Execute a :class:`DescriptorBatch` with one pool submission
         per worker per phase and a barrier after every phase.
 
-        The batched counterpart of :meth:`run_phases`: instead of
-        statically binning tasks at dispatch time, every worker claims
-        descriptor chunks from a shared :class:`ThreadCursor`, so load
-        balance is dynamic and dispatch cost is ``O(n_workers)`` per
-        phase regardless of block count.  ``run_desc`` is called once
-        per global descriptor index.  Failure semantics (drain, pool
-        shutdown, ``fallback_serial`` with ``reset``, hang timeout with
-        pool abandonment) match :meth:`run_phases`; the serial rerun
-        uses :meth:`run_serial_batch`, bit-identical because per-colour
+        Every worker claims descriptor chunks from a shared
+        :class:`ThreadCursor`, so load balance is dynamic and dispatch
+        cost is ``O(n_workers)`` per phase regardless of block count.
+        ``run_desc`` is called once per global descriptor index.
+
+        ``stats`` may be passed to accumulate several sweeps (e.g. the
+        forward and backward stages of one ``power`` call) into a single
+        record; a fresh one is created otherwise.  ``reset`` is the
+        rollback hook of the ``"fallback_serial"`` failure policy: a
+        zero-argument callable restoring the caller's state to what it
+        was when this call started.  On a worker crash the executor
+        drains the phase, shuts the pool down, rolls the stats and
+        caller state back, and re-runs everything via
+        :meth:`run_serial_batch` — bit-identical because per-colour
         block results are order-independent.
         """
         if stats is None:
@@ -658,17 +515,6 @@ class ThreadedPhaseExecutor:
         obs.add_counter("executor.barriers")
         obs.add_counter("executor.tasks", n_tasks)
         obs.add_counter("executor.phase_nnz", nnz)
-        obs.observe("executor.phase_wall_s", wall_s, unit="s")
-
-    @staticmethod
-    def _record_phase(phase: Phase, wall_s: float) -> None:
-        """Publish one executed phase to the active telemetry session
-        (counters + wall-time histogram); no-op when telemetry is off."""
-        if obs.current() is None:
-            return
-        obs.add_counter("executor.barriers")
-        obs.add_counter("executor.tasks", len(phase.tasks))
-        obs.add_counter("executor.phase_nnz", phase.total_nnz)
         obs.observe("executor.phase_wall_s", wall_s, unit="s")
 
     @staticmethod

@@ -96,8 +96,6 @@ from ..robust.errors import PhaseExecutionError
 from ..robust.faults import active_injectors as _active_injectors
 from ..robust.faults import fire as _fire_fault
 from ..robust.faults import fire_timed as _fire_fault_timed
-from ..reorder.levels_blocked import OP_EVEN, OP_FINAL_ODD, OP_ODD
-from ..sparse.csr import reduce_rows
 from .dispatch import (
     CTRL_CURSOR,
     CTRL_EPOCH,
@@ -112,6 +110,7 @@ from .dispatch import (
 )
 from .executor import ExecutionStats, PhaseRecord
 from .scheduler import Phase
+from .sweep import EVEN, ODD, RowChunk, blocked_update
 
 __all__ = [
     "SHM_PREFIX",
@@ -252,27 +251,12 @@ class SharedArena:
 # ---------------------------------------------------------------------------
 # kernels (run identically in workers and in the serial fallback)
 # ---------------------------------------------------------------------------
-def _matmat_rows(vals: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
-                 X: np.ndarray) -> np.ndarray:
-    """Row-segment SpMM mirroring :meth:`CSRMatrix.matmat` branch for
-    branch, so block sweeps stay bit-identical to the serial fused
-    pipeline's per-row sums."""
-    w = X.shape[1]
-    if w <= 4:
-        gathered = X[cols]
-        out_cols = [reduce_rows(vals * gathered[:, j], indptr)
-                    for j in range(w)]
-        if not out_cols:
-            return np.zeros((indptr.shape[0] - 1, 0), dtype=np.float64)
-        return np.stack(out_cols, axis=1)
-    return reduce_rows(vals[:, None] * X[cols], indptr)
-
-
 class _Views:
-    """Numpy views over the arena segments plus the four sweep kernels.
+    """Numpy views over the arena segments, and the dispatch of one
+    block task to the sweep kernels of :mod:`repro.parallel.sweep`.
 
     Built directly over the creating process's views, or re-attached in
-    a worker from the picklable spec.  All kernels slice the shared
+    a worker from the picklable spec.  Every kernel slices the shared
     arrays — zero copies on any hot path.
     """
 
@@ -293,73 +277,33 @@ class _Views:
         self.xyb = xyb
         self.tmpb = tmpb
 
-    # -- sweep kernels --------------------------------------------------
-    def _tri(self, lower: bool, start: int, stop: int):
-        ip = self.l_indptr if lower else self.u_indptr
-        lo, hi = int(ip[start]), int(ip[stop])
-        local = ip[start:stop + 1] - lo
+    def _chunk(self, lower: bool, start: int, stop: int) -> RowChunk:
         if lower:
-            return local, self.l_indices[lo:hi], self.l_data[lo:hi]
-        return local, self.u_indices[lo:hi], self.u_data[lo:hi]
+            return RowChunk(self.l_indptr, self.l_indices, self.l_data,
+                            start, stop)
+        return RowChunk(self.u_indptr, self.u_indices, self.u_data,
+                        start, stop)
 
     def run(self, sweep: str, start: int, stop: int,
             op: int = -1) -> None:
-        """Execute one block task (same arithmetic as the serial fused
-        sweeps and the threaded ``_BlockKernel``).  ``op`` is the
-        per-descriptor update kind of the ``"blocked"`` sweep (ignored
-        by the colour-phase sweeps, whose name fixes the kernel)."""
-        r = slice(start, stop)
+        """Execute one block task.  ``op`` is the per-descriptor update
+        kind of the ``"blocked"`` sweep (ignored by the colour-phase
+        sweeps, whose name fixes the kernel)."""
         if sweep == "blocked":
-            # Levels-blocked ping-pong update: odd powers read BtB slot
-            # 0 and write slot 1, even powers the reverse; the three
-            # association orders reproduce the serial FBMPK stage that
-            # produces the same power (see repro.reorder.levels_blocked).
-            XY, d = self.xy2, self.diag
-            rs, ws = (1, 0) if op == OP_EVEN else (0, 1)
-            ipl, cl, vl = self._tri(True, start, stop)
-            ipu, cu, vu = self._tri(False, start, stop)
-            xin = XY[:, rs]
-            lsum = reduce_rows(vl * xin[cl], ipl)
-            usum = reduce_rows(vu * xin[cu], ipu)
-            dx = d[r] * xin[r]
-            if op == OP_ODD:          # forward-stage order
-                XY[r, ws] = usum + dx + lsum
-            elif op == OP_EVEN:       # backward-stage order
-                XY[r, ws] = lsum + dx + usum
-            elif op == OP_FINAL_ODD:  # tail order
-                XY[r, ws] = lsum + usum + dx
-            else:
-                raise ValueError(f"unknown blocked op {op!r}")
+            blocked_update(self._chunk(True, start, stop),
+                           self._chunk(False, start, stop),
+                           self.xy2, self.diag, op)
         elif sweep == "forward":
-            ipl, c, v = self._tri(True, start, stop)
-            XY, tmp, d = self.xy2, self.tmp, self.diag
-            new_odd = tmp[r] + d[r] * XY[r, 0] \
-                + reduce_rows(v * XY[c, 0], ipl)
-            XY[r, 1] = new_odd
-            tmp[r] = reduce_rows(v * XY[c, 1], ipl) + d[r] * new_odd
+            self._chunk(True, start, stop).forward(self.xy2, self.tmp,
+                                                   self.diag)
         elif sweep == "backward":
-            ipl, c, v = self._tri(False, start, stop)
-            XY, tmp = self.xy2, self.tmp
-            XY[r, 0] = tmp[r] + reduce_rows(v * XY[c, 1], ipl)
-            tmp[r] = reduce_rows(v * XY[c, 0], ipl)
+            self._chunk(False, start, stop).backward(self.xy2, self.tmp)
         elif sweep == "forward_block":
-            # The odd-slot product must be gathered AFTER the new odd
-            # iterate is written: intra-block dependencies read values
-            # step 1 of this very block produced (same two-step
-            # discipline as the vector kernel above).
-            ipl, c, v = self._tri(True, start, stop)
-            XYB, TMPB, d = self.xyb, self.tmpb, self.diag
-            dcol = d[r][:, None]
-            new_odd = TMPB[r] + dcol * XYB[r, 0::2] \
-                + _matmat_rows(v, c, ipl, XYB[:, 0::2])
-            XYB[r, 1::2] = new_odd
-            TMPB[r] = _matmat_rows(v, c, ipl, XYB[:, 1::2]) \
-                + dcol * new_odd
+            self._chunk(True, start, stop).forward(
+                self.xyb, self.tmpb, self.diag[:, None], EVEN, ODD)
         elif sweep == "backward_block":
-            ipl, c, v = self._tri(False, start, stop)
-            XYB, TMPB = self.xyb, self.tmpb
-            XYB[r, 0::2] = TMPB[r] + _matmat_rows(v, c, ipl, XYB[:, 1::2])
-            TMPB[r] = _matmat_rows(v, c, ipl, XYB[:, 0::2])
+            self._chunk(False, start, stop).backward(
+                self.xyb, self.tmpb, EVEN, ODD)
         else:  # pragma: no cover - dispatch validates sweeps
             raise ValueError(f"unknown sweep {sweep!r}")
 
@@ -587,7 +531,7 @@ class ProcessPhaseExecutor:
     on_failure:
         ``"raise"`` propagates a :class:`PhaseExecutionError`;
         ``"fallback_serial"`` (with a ``reset`` callback passed to
-        :meth:`run_phases`) rolls back and re-runs the phases in the
+        :meth:`run_batched`) rolls back and re-runs the phases in the
         calling process — bit-identical to a clean serial run.
     hang_timeout:
         Seconds a dispatched worker may go without stamping its
@@ -687,14 +631,13 @@ class ProcessPhaseExecutor:
         self._views: Optional[_Views] = _Views(self.arena.view)
         self._pool: Optional[_PoolState] = None
         self._blk_m: Optional[int] = None
+        # True while running workers are bound to an older block buffer
+        # than _blk_m names (see ensure_block).
+        self._blk_rebind = False
         # Registered descriptor plans: slot -> batch; the (2, n_blocks)
         # row table of plan `slot` lives in arena segment f"plan{slot}".
         self._plans: Dict[int, DescriptorBatch] = {}
         self._next_plan = 0
-        # run_phases() compatibility cache: phases-list identity ->
-        # (strong ref, slot).  The strong ref keeps id() from being
-        # reused while the cache entry lives.
-        self._compat_plans: Dict[int, Tuple[object, int]] = {}
         # Phase epoch: monotonically increasing across the executor's
         # lifetime (survives pool respawns) so wdone stamps from a
         # previous pool can never satisfy the current phase's scan.
@@ -714,9 +657,14 @@ class ProcessPhaseExecutor:
     def ensure_block(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
         """The shared block buffers for ``power_block`` with ``m``
         columns: the ``(n, 2m)`` interleaved iterate block and the
-        ``(n, m)`` temporary.  (Re)allocated only when ``m`` changes;
-        running workers are rebound in-band, so descriptor ordering
-        guarantees they never touch a stale segment."""
+        ``(n, m)`` temporary.  (Re)allocated only when ``m`` changes.
+
+        Running workers are rebound in-band, but only with the next
+        phase dispatch: a rebind message sent now could still sit in a
+        worker's queue when a later width change unlinks the segment it
+        names (``power_block`` at ``k=1`` dispatches no phase).  Workers
+        keep their mapping of an unlinked segment, so the old buffers
+        stay valid until they attach the new ones."""
         if m < 0:
             raise ValueError("m must be non-negative")
         if self._blk_m != m:
@@ -727,10 +675,7 @@ class ProcessPhaseExecutor:
                 "tmpb", np.zeros((self.n, m), dtype=np.float64))
             self._views.bind_block(xyb, tmpb)
             self._blk_m = m
-            if self._pool is not None:
-                spec = self._block_spec()
-                for q in self._pool.inqs:
-                    q.put(("block", spec))
+            self._blk_rebind = self._pool is not None
         return self._views.xyb, self._views.tmpb
 
     def _block_spec(self) -> Optional[Dict[str, _SegmentSpec]]:
@@ -769,6 +714,7 @@ class ProcessPhaseExecutor:
                 workers=workers, inqs=inqs, outq=outq, lock=lock,
                 event=event,
                 barrier=CompletionBarrier(self._ctrl, lock, event))
+            self._blk_rebind = False  # spawned with the current spec
             obs.add_counter("procexec.pool_spawns")
         return self._pool
 
@@ -864,7 +810,6 @@ class ProcessPhaseExecutor:
             self._ring_reader = None
             self._blk_m = None
             self._plans.clear()
-            self._compat_plans.clear()
             self.arena.close()
 
     def __enter__(self) -> "ProcessPhaseExecutor":
@@ -874,39 +819,14 @@ class ProcessPhaseExecutor:
         self.close()
 
     # -- execution ------------------------------------------------------
-    def run_serial(self, phases: Sequence[Phase], sweep: str,
-                   stats: Optional[ExecutionStats] = None
-                   ) -> ExecutionStats:
-        """Execute ``phases`` in the calling process, tasks in declared
-        order, over the same shared buffers — the reference the
-        dispatched path must be bit-identical to, and the
-        ``fallback_serial`` target.  Busy time accrues to bin 0."""
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}")
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_workers,
-                                   policy=self.policy)
-        views = self._views
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="serial"):
-                t0 = time.perf_counter()
-                for task in phase.tasks:
-                    views.run(sweep, task.start, task.stop)
-                elapsed = time.perf_counter() - t0
-            stats.thread_busy_s[0] += elapsed
-            self._finish_phase(stats, phase.color, len(phase.tasks),
-                               phase.total_nnz, elapsed)
-        return stats
-
     def run_serial_batch(self, batch: DescriptorBatch, sweep: str,
                          stats: Optional[ExecutionStats] = None
                          ) -> ExecutionStats:
         """Execute a descriptor batch in the calling process, descriptors
-        in batch order, forwarding per-descriptor op tags — the
-        reference (and ``fallback_serial`` target) for plans whose
-        legacy ``Phase`` list is absent, e.g. levels-blocked batches."""
+        in batch order, forwarding per-descriptor op tags, over the same
+        shared buffers — the reference the dispatched path must be
+        bit-identical to, and the ``fallback_serial`` target.  Busy time
+        accrues to bin 0."""
         if sweep not in SWEEPS:
             raise ValueError(f"unknown sweep {sweep!r}")
         if stats is None:
@@ -952,33 +872,6 @@ class ProcessPhaseExecutor:
                 q.put(("plan", slot, spec))
         return slot
 
-    def _slot_for(self, phases: Sequence[Phase]) -> int:
-        """Plan slot for a phases list, registering on first sight.
-        Keyed by list identity with a strong reference held, so repeated
-        sweeps over the same schedule (the FBMPK hot loop) register
-        exactly once and id() reuse cannot alias."""
-        key = id(phases)
-        hit = self._compat_plans.get(key)
-        if hit is not None and hit[0] is phases:
-            return hit[1]
-        slot = self.register_phases(phases)
-        if len(self._compat_plans) >= 8:
-            self._compat_plans.clear()
-        self._compat_plans[key] = (phases, slot)
-        return slot
-
-    def run_phases(self, phases: Sequence[Phase], sweep: str,
-                   stats: Optional[ExecutionStats] = None,
-                   reset: Optional[Callable[[], None]] = None
-                   ) -> ExecutionStats:
-        """Execute ``phases`` on the worker pool (compatibility entry
-        point: registers the schedule as a descriptor plan on first
-        sight, then runs the batched path)."""
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}")
-        return self.run_batched(self._slot_for(phases), sweep,
-                                stats=stats, reset=reset)
-
     def run_batched(self, plan: int, sweep: str,
                     stats: Optional[ExecutionStats] = None,
                     reset: Optional[Callable[[], None]] = None
@@ -992,7 +885,7 @@ class ProcessPhaseExecutor:
         "fallback_serial"``: on any failure (worker exception, injected
         dispatch fault, a killed worker, or a poisoned claim lock) the
         barrier is compensated closed, the pool is torn down, ``reset``
-        restores the shared buffers, and :meth:`run_serial` re-runs
+        restores the shared buffers, and :meth:`run_serial_batch` re-runs
         everything in-process.
         """
         if sweep not in SWEEPS:
@@ -1004,6 +897,11 @@ class ProcessPhaseExecutor:
         snap = (len(stats.phases), stats.barriers,
                 list(stats.thread_busy_s), stats.enqueues, stats.steals)
         pool = self._ensure_pool()
+        if self._blk_rebind:
+            spec = self._block_spec()
+            for q in pool.inqs:
+                q.put(("block", spec))
+            self._blk_rebind = False
         tel = obs.current()
         for pi in range(batch.n_phases):
             lo, hi = batch.phase_range(pi)
@@ -1033,9 +931,7 @@ class ProcessPhaseExecutor:
                     stats.enqueues = snap[3]
                     stats.steals = snap[4]
                     reset()
-                    if batch.ops is not None or not batch.phases:
-                        return self.run_serial_batch(batch, sweep, stats)
-                    return self.run_serial(batch.phases, sweep, stats)
+                    return self.run_serial_batch(batch, sweep, stats)
                 raise failure
             self._finish_phase(stats, color, hi - lo, nnz, elapsed)
         self._drain_spans()

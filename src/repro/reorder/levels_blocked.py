@@ -48,6 +48,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..parallel.sweep import OP_EVEN, OP_FINAL_ODD, OP_ODD
 from ..sparse.csr import CSRMatrix
 from .levels import compute_levels, levels_to_groups
 
@@ -62,14 +63,6 @@ __all__ = [
     "blocked_descriptors",
     "check_blocked_schedule",
 ]
-
-#: Update kinds carried per descriptor (the ``ops`` row of the packed
-#: plan table).  Each fixes both the BtB slots (odd powers read slot 0,
-#: write slot 1; even powers the reverse) and the serial association
-#: order of the three per-row partial sums.
-OP_ODD = 0        #: odd intermediate power:  y = (u + d*x) + l
-OP_EVEN = 1       #: even power:              y = (l + d*x) + u
-OP_FINAL_ODD = 2  #: final odd power (p = k): y = (l + u) + d*x
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import contextlib
 import numpy as np
 
 from repro.obs import Telemetry
-from repro.parallel import BlockTask, Phase, ThreadedPhaseExecutor
+from repro.parallel import (BlockTask, DescriptorBatch, Phase,
+                            ThreadedPhaseExecutor)
 from repro.robust import DelayFault, FaultInjector
 
 DELAY = 0.05
@@ -24,15 +25,17 @@ def _phases(n_blocks=4, width=8):
 def _run(with_delay):
     y = np.zeros(32)
 
-    def run(task):
-        y[task.start:task.stop] = task.start
+    batch = DescriptorBatch.from_phases(_phases())
+
+    def run(g):
+        y[batch.starts[g]:batch.stops[g]] = batch.starts[g]
 
     # No active injector at all on the clean run: with nobody listening,
     # fire_timed must not even touch the clock (or the counter).
     inj = (FaultInjector().install("executor.task", DelayFault(DELAY))
            if with_delay else contextlib.nullcontext())
     with Telemetry() as tel, inj, ThreadedPhaseExecutor(n_threads=1) as ex:
-        stats = ex.run_phases(_phases(), run)
+        stats = ex.run_batched(batch, run)
     return y, stats, tel
 
 

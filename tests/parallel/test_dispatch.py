@@ -100,7 +100,6 @@ def test_descriptor_batch_layout():
     assert batch.phase_range(2) == (4, 4)  # empty phase: zero-width range
     assert batch.phase_nnz(0) == 60
     assert [batch.phase_color(p) for p in range(3)] == [0, 1, 0]
-    assert batch.phases == tuple(phases)
     rows = batch.pack_rows()
     assert rows.shape == (2, 4) and rows.dtype == np.int64
     np.testing.assert_array_equal(rows[0], [0, 4, 8, 12])
@@ -293,7 +292,7 @@ def test_sigkill_mid_phase_trips_liveness_scan(shm_leaked):
     with ProcessPhaseExecutor(part, n_workers=2,
                               task_hook=_hook_suicide) as ex:
         with pytest.raises(PhaseExecutionError, match="died"):
-            ex.run_phases(phases, "forward")
+            ex.run_batched(ex.register_phases(phases), "forward")
     assert shm_leaked() == set()
 
 
@@ -308,7 +307,7 @@ def test_one_enqueue_per_phase_per_worker(shm_leaked):
     phases = [Phase(color=0, tasks=tasks)]
     stats = ExecutionStats(n_threads=2, policy="lpt")
     with ProcessPhaseExecutor(part, n_workers=2, claim_chunk=1) as ex:
-        ex.run_phases(phases, "forward", stats)
+        ex.run_batched(ex.register_phases(phases), "forward", stats)
     assert stats.enqueues == len(phases) * 2
     assert stats.enqueues < len(tasks)  # strictly below per-block cost
     assert stats.barriers == len(phases)

@@ -282,7 +282,7 @@ class TestFailureContainment:
                                   task_hook=_hook_boom) as ex:
             with pytest.raises(PhaseExecutionError,
                                match="hook boom") as info:
-                ex.run_phases(phases, "forward")
+                ex.run_batched(ex.register_phases(phases), "forward")
         err = info.value
         assert err.phase_index == 0 and err.color == 0
         clone = pickle.loads(pickle.dumps(err))
@@ -347,6 +347,37 @@ class TestSharedMemoryLifecycle:
                 # (ctrl/wdone/wsteal/wbusy) + 2 descriptor plans
                 # (fw/bw) + xyb + tmpb
                 assert len(shm_leaked()) == 21
+        assert shm_leaked() == set()
+
+    def test_unread_block_rebind_survives_width_change(self, matrices,
+                                                        shm_leaked):
+        """power_block at k=1 dispatches no phase, so the workers may not
+        have bound its block buffer when the next width change unlinks
+        it.  Stopped workers make that window deterministic; they must
+        neither die on the unlinked segment nor compute a wrong block."""
+        a = matrices["grid"]
+        n = a.n_rows
+        rng = np.random.default_rng(11)
+        serial = build_fbmpk_operator(a, block_size=BLOCK)
+        with build_fbmpk_operator(a, block_size=BLOCK,
+                                  executor="processes",
+                                  n_threads=2) as op:
+            op.power(np.ones(n), 2)
+            pids = op._procs.pool.start()
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            try:
+                for m in (1, 2):
+                    X = rng.standard_normal((n, m))
+                    np.testing.assert_array_equal(
+                        op.power_block(X, 1), serial.power_block(X, 1))
+            finally:
+                for pid in pids:
+                    os.kill(pid, signal.SIGCONT)
+            X = rng.standard_normal((n, 3))
+            np.testing.assert_array_equal(op.power_block(X, 4),
+                                          serial.power_block(X, 4))
+            assert op._procs.pool.worker_liveness() == [True, True]
         assert shm_leaked() == set()
 
     def test_arena_finalizer_runs_on_gc(self, shm_leaked):
@@ -485,4 +516,4 @@ class TestLifecycle:
         part = split_ldu(matrices["sym"])
         with ProcessPhaseExecutor(part, n_workers=1) as ex:
             with pytest.raises(ValueError, match="sweep"):
-                ex.run_phases([], "sideways")
+                ex.run_batched(ex.register_phases([]), "sideways")

@@ -19,6 +19,7 @@ from repro.core.partition import split_ldu
 from repro.matrices import banded_random, poisson2d
 from repro.parallel import (
     BlockTask,
+    DescriptorBatch,
     Phase,
     ThreadedPhaseExecutor,
     check_phases,
@@ -269,12 +270,13 @@ class TestLifecycle:
     def test_worker_exception_propagates(self):
         phases = [Phase(color=0, tasks=[BlockTask(0, 4, 7)])]
 
-        def boom(task):
+        def boom(g):
             raise RuntimeError("kernel exploded")
 
+        batch = DescriptorBatch.from_phases(phases)
         with ThreadedPhaseExecutor(n_threads=2) as ex:
             with pytest.raises(RuntimeError, match="kernel exploded"):
-                ex.run_phases(phases, boom)
+                ex.run_batched(batch, boom)
 
     def test_executor_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):

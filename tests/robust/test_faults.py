@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import build_fbmpk_operator
 from repro.matrices import banded_random
+from repro.parallel.dispatch import DescriptorBatch
 from repro.parallel.executor import ThreadedPhaseExecutor
 from repro.parallel.scheduler import BlockTask, Phase
 from repro.robust import (
@@ -160,6 +161,18 @@ def _toy_phases(n=32, block=8):
     return [Phase(color=c, tasks=[t]) for c, t in enumerate(tasks)]
 
 
+def _run(ex, phases, run, **kw):
+    """Run per-task callbacks through the executor's descriptor batch."""
+    batch = DescriptorBatch.from_phases(phases, "round_robin")
+    return ex.run_batched(batch, _by_task(batch, run), **kw)
+
+
+def _by_task(batch, run):
+    return lambda g: run(BlockTask(int(batch.starts[g]),
+                                   int(batch.stops[g]),
+                                   int(batch.nnz[g])))
+
+
 class TestExecutorContainment:
     def test_crash_yields_typed_error_with_context(self):
         y = np.zeros(32)
@@ -171,7 +184,7 @@ class TestExecutorContainment:
             "executor.task", RaiseFault(match={"color": 2}))
         ex = ThreadedPhaseExecutor(n_threads=2)
         with inj, pytest.raises(PhaseExecutionError) as ei:
-            ex.run_phases(_toy_phases(), run)
+            _run(ex, _toy_phases(), run)
         err = ei.value
         assert err.phase_index == 2
         assert err.color == 2
@@ -200,7 +213,7 @@ class TestExecutorContainment:
         inj.install("executor.task", DelayFault(0.05, match={"start": 8}))
         ex = ThreadedPhaseExecutor(n_threads=2)
         with inj, pytest.raises(PhaseExecutionError):
-            ex.run_phases(phases, run)
+            _run(ex, phases, run)
         assert 8 in done  # the delayed sibling bin completed
 
     def test_delay_fault_slows_but_never_corrupts(self):
@@ -212,7 +225,7 @@ class TestExecutorContainment:
         inj = FaultInjector().install(
             "executor.task", DelayFault(0.01, times=2))
         with ThreadedPhaseExecutor(n_threads=2) as ex, inj:
-            stats = ex.run_phases(_toy_phases(), run)
+            stats = _run(ex, _toy_phases(), run)
         expect = np.repeat(np.arange(0, 32, 8), 8)
         assert np.array_equal(y, expect)
         assert stats.barriers == 4
@@ -227,15 +240,15 @@ class TestExecutorContainment:
             y[:] = 0.0
 
         ref = np.zeros(32)
-        ThreadedPhaseExecutor(n_threads=1).run_serial(_toy_phases(),
-                                                      lambda t: ref.__setitem__(
-                                                          slice(t.start, t.stop),
-                                                          ref[t.start:t.stop] + t.start + 1))
+        batch = DescriptorBatch.from_phases(_toy_phases(), "round_robin")
+        ThreadedPhaseExecutor(n_threads=1).run_serial_batch(
+            batch, _by_task(batch, lambda t: ref.__setitem__(
+                slice(t.start, t.stop), ref[t.start:t.stop] + t.start + 1)))
         inj = FaultInjector().install("executor.task", RaiseFault(times=1))
         ex = ThreadedPhaseExecutor(n_threads=2,
                                    on_failure="fallback_serial")
         with inj:
-            stats = ex.run_phases(_toy_phases(), run, reset=reset)
+            stats = _run(ex, _toy_phases(), run, reset=reset)
         assert np.array_equal(y, ref)  # bit-identical to clean serial
         # Stats reflect only the serial rerun, not the aborted attempt.
         assert stats.barriers == 4
@@ -246,7 +259,7 @@ class TestExecutorContainment:
         ex = ThreadedPhaseExecutor(n_threads=2,
                                    on_failure="fallback_serial")
         with inj, pytest.raises(PhaseExecutionError):
-            ex.run_phases(_toy_phases(), lambda t: None)
+            _run(ex, _toy_phases(), lambda t: None)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="on_failure"):
