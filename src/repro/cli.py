@@ -114,6 +114,15 @@ def _load_matrix(args) -> CSRMatrix:
     return a
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type``: an integer >= 1 (anything else is a usage
+    error, exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("matrix", nargs="?", help="MatrixMarket file")
     p.add_argument("--standin", choices=list_matrix_names(),
@@ -337,8 +346,7 @@ def cmd_tune(args) -> int:
                  {True: "yes", False: "NO", None: "-"}[t.identical],
                  "win" if t.plan == result.plan else
                  ("error" if t.error else
-                  ("" if t.accepted else
-                   ("not eligible" if t.identical else "rejected")))]
+                  ("" if t.accepted else "rejected"))]
                 for t in result.trials]
         print(format_table(["plan", "time (ms)", "bit-identical", ""],
                            rows, title=f"{args.kind} candidates "
@@ -571,9 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="power for --kind power (default 8)")
     p.add_argument("--repeats", type=int, default=5,
                    help="timed repeats per candidate (trimmed mean)")
-    p.add_argument("--max-candidates", type=int, default=None,
-                   help="truncate the (analytically pre-ordered) "
-                        "candidate list; the default plan always stays")
+    p.add_argument("--max-candidates", type=_positive_int, default=None,
+                   help="time at most this many candidates (>= 1); the "
+                        "default plan always stays")
     p.add_argument("--force", action="store_true",
                    help="re-run the search even on a cache hit")
     p.add_argument("--plan-cache-dir", default=None,

@@ -25,7 +25,6 @@ from .mpk import mpk_reference_dense, mpk_standard, mpk_standard_all
 from .partition import StorageReport, TriangularPartition, split_ldu
 from .plan import (
     AccessPlan,
-    execution_cost_hint,
     fbmpk_plan,
     standard_plan,
     theoretical_ratio,
@@ -61,7 +60,6 @@ __all__ = [
     "TriangularPartition",
     "split_ldu",
     "AccessPlan",
-    "execution_cost_hint",
     "fbmpk_plan",
     "standard_plan",
     "theoretical_ratio",

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["AccessPlan", "standard_plan", "fbmpk_plan",
-           "levels_blocked_plan", "theoretical_ratio",
-           "execution_cost_hint"]
+           "levels_blocked_plan", "theoretical_ratio"]
 
 
 @dataclass(frozen=True)
@@ -111,54 +110,3 @@ def theoretical_ratio(k: int) -> float:
     if k <= 0:
         raise ValueError("power k must be positive")
     return (k + 1) / (2.0 * k)
-
-
-def execution_cost_hint(
-    k: int,
-    n: int,
-    nnz: int,
-    method: str = "fbmpk",
-    n_groups: int = 1,
-    n_threads: int = 1,
-    barrier_weight: float = 2048.0,
-    executor: str = "serial",
-    enqueue_weight: float = 512.0,
-) -> float:
-    """Dimensionless modelled cost of one candidate execution plan.
-
-    :mod:`repro.tune` uses this to *pre-order* its candidate plans so
-    the empirical search tries the analytically promising ones first
-    (and a truncated search still covers them).  It is deliberately
-    crude — a traffic term from the access plans above divided by the
-    thread count, plus a per-sweep synchronisation term charging
-    ``barrier_weight`` matrix entries for each of the ``n_groups``
-    barriers a sweep crosses — and is never used for correctness or
-    acceptance decisions; only the measured wall clock decides those.
-
-    The batched dispatch path performs one enqueue per phase per
-    *worker* (never per block), so the ``"processes"`` executor adds a
-    cross-process messaging term of ``enqueue_weight`` entries per
-    enqueue — ``sweeps * n_groups * n_threads`` of them — on top of the
-    barrier term both parallel backends pay.
-    """
-    if n_threads < 1:
-        raise ValueError("n_threads must be positive")
-    if method == "levels-blocked":
-        # Optimistic residency bound: one DRAM stream of A plus the
-        # per-power diagonal work; the wavefront's barriers (one per
-        # phase: ~n_groups blocks of skew plus 2(k-1) of drain) are
-        # charged once per run, not once per sweep.
-        traffic = float(nnz) + float(k) * n
-        phases = max(n_groups, 1) + 2 * max(k - 1, 0)
-        sync = phases * barrier_weight if n_threads > 1 else 0.0
-        if executor == "processes" and n_threads > 1:
-            sync += phases * n_threads * enqueue_weight
-        return traffic / n_threads + sync
-    plan = fbmpk_plan(k) if method == "fbmpk" else standard_plan(k)
-    traffic = plan.matrix_equivalents * nnz + plan.d_passes * n
-    sweeps = plan.l_passes + plan.u_passes
-    sync = sweeps * max(n_groups, 1) * barrier_weight if n_threads > 1 \
-        else 0.0
-    if executor == "processes" and n_threads > 1:
-        sync += sweeps * max(n_groups, 1) * n_threads * enqueue_weight
-    return traffic / n_threads + sync

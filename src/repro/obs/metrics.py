@@ -93,8 +93,8 @@ class Histogram:
     Per-bucket counts, the running sum and the observation count are
     updated under one lock and read back together through
     :meth:`state`, so a snapshot can never show a sum that disagrees
-    with its counts (a scrape racing an ``observe`` sees either all of
-    the observation or none of it).
+    with its counts (a scrape concurrent with an ``observe`` sees
+    either all of the observation or none of it).
     """
 
     __slots__ = ("name", "unit", "buckets", "_counts", "_sum", "_count",

@@ -23,7 +23,8 @@ every layer above can share:
 :class:`CircuitBreaker`
     A thread-safe closed → open → half-open state machine guarding an
     operation that can fail or blow its time budget repeatedly (the
-    motivating case: a 34–55 s autotune search).  After
+    motivating case: an autotune search, which builds and times an
+    operator per candidate on a cold structure).  After
     ``failure_threshold`` consecutive failures the breaker *opens* and
     :meth:`CircuitBreaker.allow` answers False — callers shed to their
     degraded path immediately instead of queueing up behind a doomed

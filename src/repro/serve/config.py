@@ -133,6 +133,13 @@ class ServeConfig:
             raise ValueError(f"unknown executor {self.executor!r}")
         if self.on_failure not in ("raise", "fallback_serial"):
             raise ValueError(f"unknown on_failure {self.on_failure!r}")
+        if self.tune_k < 1:
+            raise ValueError("tune_k must be >= 1")
+        if self.tune_repeats < 1:
+            raise ValueError("tune_repeats must be >= 1")
+        if self.tune_max_candidates is not None \
+                and self.tune_max_candidates < 1:
+            raise ValueError("tune_max_candidates must be >= 1 when set")
         if self.tune_budget_s is not None and self.tune_budget_s <= 0:
             raise ValueError("tune_budget_s must be > 0 when set")
         if self.hang_timeout_s is not None and self.hang_timeout_s <= 0:

@@ -52,10 +52,8 @@ from .plan import (
     default_spmv_plan,
 )
 from .registry import (
-    UnfusedPowerOperator,
     instantiate_power,
     instantiate_spmv,
-    order_power_candidates,
     plan_is_bit_identical_by_design,
     power_candidates,
     spmv_candidates,
@@ -82,10 +80,8 @@ __all__ = [
     "PlanFormatError",
     "default_power_plan",
     "default_spmv_plan",
-    "UnfusedPowerOperator",
     "instantiate_power",
     "instantiate_spmv",
-    "order_power_candidates",
     "plan_is_bit_identical_by_design",
     "power_candidates",
     "spmv_candidates",

@@ -2,25 +2,29 @@
 
 The OSKI-style loop: enumerate candidate execution plans
 (:mod:`repro.tune.registry`), time each on the *actual* matrix with
-warmup + trimmed-mean repeats, and accept a candidate only if it passes
-a two-part bit-identity gate: its output must be **bit-identical**
-(``np.array_equal``, not ``allclose``) to the library's default path on
-three independent probe vectors, *and* the plan must perform the same
-floating-point arithmetic by construction
-(:func:`repro.tune.registry.plan_is_bit_identical_by_design` — no
-finite probe set can rule out a rounding coincidence on a small
-matrix).  The winner is the fastest accepted candidate — with ties
-going to the default — so the tuned path can never be
-slower-by-selection or numerically different from the untuned one.  Winning plans (plus, for fused FBMPK winners, the
-preprocessed operator artefact) are persisted through
+warmup + trimmed-mean repeats, and let a candidate win only if it is
+bit-identical to the library's default path.  Identity is decided in
+two steps.  Before anything is instantiated, plans that do not perform
+the default's floating-point arithmetic by construction
+(:func:`repro.tune.registry.plan_is_bit_identical_by_design`) are
+dropped — caller-supplied candidate lists included — because no finite
+probe set can rule out a rounding coincidence on a small matrix.  The
+rest must then reproduce the reference output **bit-identically**
+(``np.array_equal``, not ``allclose``) on three independent probe
+vectors, which catches implementation bugs in plans that should be
+identical.  The first remaining candidate (the default plan, for the
+registry's spaces) is the reference: it is always measured, and a
+later candidate wins only if it is strictly faster than the best so
+far, so the tuned path can never be slower-by-selection or numerically
+different from the untuned one.  Winning plans (plus, for FBMPK
+winners, the preprocessed operator artefact) are persisted through
 :class:`repro.tune.cache.PlanCache`, so a later process skips both the
-search and the recomputable preprocessing: the amortisation the paper's
-Fig. 11 argues for, moved from per-process to per-matrix.
+search and the recomputable preprocessing: the amortisation the
+paper's Fig. 11 argues for, moved from per-process to per-matrix.
 
-Resilience: a tuning search can take tens of seconds (the BENCH
-numbers: 34–55 s per structure) and can fail repeatedly on a
-pathological input — unacceptable on a serving path.  Both entry
-points therefore run under a
+Resilience: a tuning search costs at least one operator build and can
+fail repeatedly on a pathological input — unacceptable on a serving
+path.  Both entry points therefore run under a
 :class:`~repro.robust.resilience.CircuitBreaker` (the module-level
 :data:`SEARCH_BREAKER` unless the caller passes their own) with an
 optional per-search time budget: a search that raises, or that blows
@@ -33,28 +37,12 @@ out.  The budget also bounds the cross-process
 :meth:`~repro.tune.cache.PlanCache.lock` wait, so a caller can never
 block indefinitely behind another process's search.
 
-Racing: timing every candidate for the full ``repeats`` budget wastes
-most of the search on plans that were never going to win.  With
-``racing=True`` (the default for :func:`autotune_power`) a non-default
-candidate gets one timed repeat first; if that single repeat already
-exceeds :data:`RACING_MARGIN` times the best trimmed mean measured so
-far, the candidate is *raced out* — its remaining repeats and identity
-probes are skipped, its trial records the pessimistic single-repeat
-time with ``raced=True``, and it can never be selected.  The winner is
-unchanged in expectation (a true winner's single repeat would have to
-be >50% slower than the incumbent's trimmed mean to be dropped) while
-the search spends its wall clock on the contenders.
-``TuningResult.search_s`` records the measured search wall time so the
-saving is observable.
-
 Telemetry (all no-ops without an active :class:`repro.obs.Telemetry`):
 ``tune.autotune`` / ``tune.candidate`` spans, ``tune.candidates`` /
-``tune.candidates_raced`` /
-``tune.rejected_not_identical`` / ``tune.rejected_inefficient`` /
-``tune.errors`` /
-``tune.budget_exhausted`` / ``tune.breaker.*`` counters, and
-``tune.default_time_s`` / ``tune.best_time_s`` gauges.  Cache lookups
-emit ``plan_cache.{hit,miss,corrupt,store}`` (see
+``tune.skipped_not_by_design`` / ``tune.rejected_not_identical`` /
+``tune.errors`` / ``tune.budget_exhausted`` / ``tune.breaker.*``
+counters, and ``tune.default_time_s`` / ``tune.best_time_s`` gauges.
+Cache lookups emit ``plan_cache.{hit,miss,corrupt,store}`` (see
 :mod:`repro.tune.cache`).
 """
 
@@ -63,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,7 +65,6 @@ from .plan import ExecutionPlan, default_power_plan, default_spmv_plan
 from .registry import (
     instantiate_power,
     instantiate_spmv,
-    order_power_candidates,
     plan_is_bit_identical_by_design,
     power_candidates,
     spmv_candidates,
@@ -91,7 +78,6 @@ __all__ = [
     "autotune_spmv",
     "tuned_matvec",
     "SEARCH_BREAKER",
-    "RACING_MARGIN",
 ]
 
 #: ``cache`` argument accepted by the autotune entry points: ``None``
@@ -108,15 +94,6 @@ BreakerArg = Union[None, bool, CircuitBreaker]
 #: ``tune`` so its metrics land under ``tune.breaker.*``.
 SEARCH_BREAKER = CircuitBreaker("tune", failure_threshold=3,
                                 reset_timeout_s=60.0)
-
-#: Racing threshold: a candidate whose *single* first repeat exceeds
-#: this multiple of the best trimmed mean so far is dropped without
-#: spending its remaining repeats or identity probes.  1.5 leaves a
-#: wide noise margin — one preempted repeat on a loaded machine rarely
-#: inflates a power call by 50% after warmup — so a genuine winner is
-#: effectively never raced out.
-RACING_MARGIN = 1.5
-
 
 def _resolve_breaker(breaker: BreakerArg) -> Optional[CircuitBreaker]:
     if breaker is False:
@@ -147,30 +124,13 @@ class Trial:
     time_s: Optional[float] = None
     build_time_s: Optional[float] = None
     identical: Optional[bool] = None
-    by_design: Optional[bool] = None
-    #: False when the efficiency guard disqualified this trial: a
-    #: process-pool plan measured no faster than the serial default
-    #: (``speedup_vs_serial < 1``) must never be selected — paying
-    #: worker-pool dispatch for a slowdown is strictly worse than the
-    #: untuned path.  None means the guard did not apply.
-    efficient: Optional[bool] = None
-    #: True when racing dropped this candidate after its first timed
-    #: repeat (``time_s`` is that single pessimistic sample and the
-    #: identity probes never ran, so ``accepted`` is False).  None when
-    #: racing did not apply.
-    raced: Optional[bool] = None
     error: Optional[str] = None
 
     @property
     def accepted(self) -> bool:
-        """Eligible to win: ran without error, matched the default path
-        bit-for-bit on every probe, shares the default's floating-point
-        arithmetic by construction
-        (:func:`repro.tune.registry.plan_is_bit_identical_by_design`) —
-        probes alone cannot rule out a rounding coincidence on small
-        matrices — and was not disqualified by the efficiency guard."""
-        return self.error is None and bool(self.identical) \
-            and bool(self.by_design) and self.efficient is not False
+        """Eligible to win: ran without error and matched the reference
+        output bit-for-bit on every probe."""
+        return self.error is None and bool(self.identical)
 
 
 @dataclass
@@ -185,9 +145,9 @@ class TuningResult:
     default_time_s: Optional[float] = None
     best_time_s: Optional[float] = None
     cache_path: Optional[Path] = None
-    #: True when a ``search_budget_s`` expired mid-search: the winner is
-    #: whatever had been measured so far, and the guarding breaker
-    #: counts the call as a failure.
+    #: True when a ``search_budget_s`` expired before the search ended:
+    #: the winner is whatever had been measured so far, and the
+    #: guarding breaker counts the call as a failure.
     budget_exhausted: bool = False
     #: Wall-clock seconds the search spent measuring candidates; None
     #: on a cache hit or breaker short-circuit (nothing was searched).
@@ -269,7 +229,6 @@ def autotune_power(
     seed: int = 0,
     search_budget_s: Optional[float] = None,
     breaker: BreakerArg = None,
-    racing: bool = True,
 ):
     """Tune the ``A^k x`` pipeline for ``a``.
 
@@ -280,21 +239,17 @@ def autotune_power(
     is instantiated directly: no candidate is timed and, with the
     artefact, no splitting/colouring/grouping is recomputed.  Otherwise
     the candidate space (``candidates`` or
-    :func:`repro.tune.registry.power_candidates`, analytically
-    pre-ordered, optionally truncated to ``max_candidates`` — the
-    default plan always survives truncation) is measured and gated as
-    described in the module docstring, and the winner is persisted.
-
-    ``racing=True`` (the default) drops candidates whose first timed
-    repeat already exceeds :data:`RACING_MARGIN` times the best trimmed
-    mean so far, skipping their remaining repeats and identity probes —
-    see the module docstring.  Pass ``racing=False`` to time every
-    candidate for the full ``repeats`` budget (e.g. when harvesting
-    complete per-candidate timings for analysis).
+    :func:`repro.tune.registry.power_candidates`, less the plans that
+    are not bit-identical by design, then truncated to
+    ``max_candidates`` — the first plan always survives truncation) is
+    measured and gated as described in the module docstring, and the
+    winner is persisted.  ``max_candidates`` must be at least 1 when
+    set (``ValueError`` otherwise).
 
     ``search_budget_s`` bounds the search (and the cross-process cache
     lock wait): once exhausted, no further candidate is measured — the
-    best so far wins — and the call counts as a ``breaker`` failure.
+    best so far wins — and a search that outlasted it counts as a
+    ``breaker`` failure.
     ``breaker`` guards the search as described in the module docstring;
     a cache hit never consults it (hits are the fast path the breaker
     exists to protect).
@@ -303,6 +258,9 @@ def autotune_power(
     the search are reproducible.  The returned operator owns resources
     (thread pools); call ``close()`` or use it as a context manager.
     """
+    if max_candidates is not None and max_candidates < 1:
+        raise ValueError(
+            f"max_candidates must be >= 1 when set, got {max_candidates}")
     store = _resolve_cache(cache)
     brk = _resolve_breaker(breaker)
     fp = fingerprint_matrix(a, kind="power")
@@ -312,7 +270,7 @@ def autotune_power(
                 brk,
                 lambda: _search_power(a, k, fp, st, repeats, warmup,
                                       candidates, max_candidates, seed,
-                                      search_budget_s, racing),
+                                      search_budget_s),
                 lambda: _default_power(a, fp))
 
         if store is None or force:
@@ -353,145 +311,120 @@ def _load_power_entry(store, fp, a):
         source="cache", cache_path=store.entry_path(fp))
 
 
-def _search_power(a, k, fp, store, repeats, warmup, candidates,
-                  max_candidates, seed, budget_s=None, racing=True):
-    search_t0 = time.perf_counter()
-    plans = list(candidates) if candidates is not None \
-        else power_candidates()
-    plans = order_power_candidates(plans, a, k)
-    if max_candidates is not None and max_candidates >= 1:
-        plans = plans[:max_candidates]
-    deadline = Deadline.after(budget_s) if budget_s is not None \
-        else Deadline.never()
-    budget_exhausted = False
-    rng = np.random.default_rng(seed)
-    # The identity gate checks THREE independent probe vectors, not one:
-    # on small matrices a numerically different candidate (e.g. the
-    # unfused variant) can match the default bit-for-bit on a single
-    # input by rounding coincidence while differing on others.  Timing
-    # uses the first probe; the extra probes cost one power call each.
-    probes = [rng.standard_normal(a.n_rows) for _ in range(3)]
+def _search(kind, fp, store, plans, max_candidates, budget_s, measure,
+            close, meta):
+    """The measurement loop shared by both searches.
 
+    ``measure(plan)`` instantiates and times one plan, returning
+    ``(runnable, build_s, time_s, probe_outputs)``; ``close`` releases a
+    runnable that did not win.  Returns ``(winner, TuningResult)``.
+    """
+    search_t0 = time.perf_counter()
+    plans = list(plans)
+    by_design = [p for p in plans if plan_is_bit_identical_by_design(p)]
+    if len(by_design) < len(plans):
+        obs.add_counter("tune.skipped_not_by_design",
+                        len(plans) - len(by_design))
+    plans = by_design[:max_candidates]
+    if not plans:
+        raise RuntimeError(
+            f"autotune_{kind}: no candidate is bit-identical to the "
+            "default plan by design")
+    deadline = Deadline.after(budget_s)
     trials: List[Trial] = []
-    refs: Optional[List[np.ndarray]] = None
-    best: Optional[Tuple[Trial, Any]] = None  # (trial, operator)
-    for i, plan in enumerate(plans):
-        if i > 0 and deadline.expired():
-            # Candidate 0 (the default) is always measured: it defines
-            # the references, so a budget too tight even for it still
+    refs: Optional[Sequence[np.ndarray]] = None
+    best: Optional[Tuple[Trial, Any]] = None  # (trial, runnable)
+    for plan in plans:
+        if trials and deadline.expired():
+            # The first candidate is always measured: it defines the
+            # references, so a budget too tight even for it still
             # yields a correct, if untuned, winner.
-            budget_exhausted = True
-            obs.add_counter("tune.budget_exhausted")
             break
-        trial = Trial(plan=plan,
-                      by_design=plan_is_bit_identical_by_design(plan))
+        trial = Trial(plan=plan)
         trials.append(trial)
         obs.add_counter("tune.candidates")
         with obs.span("tune.candidate", plan=plan.label):
-            op = None
             try:
-                t0 = time.perf_counter()
-                op = instantiate_power(plan, a)
-                trial.build_time_s = time.perf_counter() - t0
-
-                def run(op=op):
-                    return op.power(probes[0], k)
-
-                reference = best[0].time_s if best is not None else None
-                if racing and i > 0 and reference is not None:
-                    for _ in range(warmup):
-                        run()
-                    t0 = time.perf_counter()
-                    y0 = run()
-                    first = time.perf_counter() - t0
-                    if first > RACING_MARGIN * reference:
-                        # Raced out: a single repeat already misses the
-                        # incumbent by the margin.  Record the
-                        # pessimistic sample (it cannot win) and skip
-                        # the remaining repeats and identity probes.
-                        trial.time_s = first
-                        trial.raced = True
-                        obs.add_counter("tune.candidates_raced")
-                        op.close()
-                        continue
-                    trial.raced = False
-                    samples = [first]
-                    for _ in range(max(repeats, 1) - 1):
-                        t0 = time.perf_counter()
-                        y0 = run()
-                        samples.append(time.perf_counter() - t0)
-                    trial.time_s = trimmed_mean(samples)
-                else:
-                    trial.time_s, y0 = _time_candidate(run, repeats,
-                                                       warmup)
-                ys = [y0] + [op.power(x, k) for x in probes[1:]]
+                obj, trial.build_time_s, trial.time_s, outs = \
+                    measure(plan)
             except Exception as exc:
                 trial.error = repr(exc)
                 obs.add_counter("tune.errors")
-                if op is not None:
-                    op.close()
+                if refs is None:
+                    # Without reference outputs no later candidate can
+                    # be identity-checked.
+                    raise RuntimeError(
+                        f"autotune_{kind}: the reference plan "
+                        f"{plan.label} failed: {trial.error}") from exc
                 continue
-            if i == 0:
-                # Candidate 0 is the default plan by construction: it
-                # defines the reference outputs and is always accepted.
-                refs = ys
-                trial.identical = True
-            else:
-                trial.identical = all(
-                    np.array_equal(y, r) for y, r in zip(ys, refs))
-                if not trial.identical:
-                    obs.add_counter("tune.rejected_not_identical")
-                elif not trial.by_design:
-                    obs.event("tune.identical_but_not_by_design",
-                              plan=plan.label)
-                # Efficiency guard: a process-pool plan that fails to
-                # beat the measured serial default (speedup < 1) must
-                # never win, even if every other candidate errored out —
-                # a slowdown that also drags in worker processes and
-                # shared-memory segments is strictly worse than serial.
-                if (plan.params.get("executor") == "processes"
-                        and trials[0].time_s is not None
-                        and trial.time_s is not None
-                        and trial.time_s >= trials[0].time_s):
-                    trial.efficient = False
-                    obs.add_counter("tune.rejected_inefficient")
-            if trial.accepted and (best is None
-                                   or trial.time_s < best[0].time_s):
-                if best is not None:
-                    best[1].close()
-                best = (trial, op)
-            else:
-                op.close()
+        if refs is None:
+            refs = outs
+            trial.identical = True
+        else:
+            trial.identical = all(
+                np.array_equal(y, r) for y, r in zip(outs, refs))
+            if not trial.identical:
+                obs.add_counter("tune.rejected_not_identical")
+        if trial.accepted and (best is None
+                               or trial.time_s < best[0].time_s):
+            if best is not None:
+                close(best[1])
+            best = (trial, obj)
+        else:
+            close(obj)
 
-    if best is None:
-        raise RuntimeError(
-            "autotune_power: no candidate ran successfully (not even the "
-            "default plan); first error: "
-            + next((t.error for t in trials if t.error), "none recorded"))
-    win_trial, win_op = best
+    # A search that outlasted its budget counts as exhausted even when
+    # no candidate was left to skip.
+    budget_exhausted = deadline.expired()
+    if budget_exhausted:
+        obs.add_counter("tune.budget_exhausted")
+    win_trial, win_obj = best
     default_time = trials[0].time_s
     result = TuningResult(
-        kind="power", fingerprint=fp, plan=win_trial.plan, source="search",
+        kind=kind, fingerprint=fp, plan=win_trial.plan, source="search",
         trials=trials, default_time_s=default_time,
         best_time_s=win_trial.time_s, budget_exhausted=budget_exhausted,
         search_s=time.perf_counter() - search_t0)
-    if default_time is not None:
-        obs.set_gauge("tune.default_time_s", default_time, unit="s")
+    obs.set_gauge("tune.default_time_s", default_time, unit="s")
     obs.set_gauge("tune.best_time_s", win_trial.time_s, unit="s")
     if store is not None:
-        meta: Dict[str, Any] = {
-            "k": k,
-            "repeats": repeats,
+        operator = win_obj if isinstance(win_obj, FBMPKOperator) else None
+        result.cache_path = store.store(fp, win_trial.plan, meta={
+            **meta,
             "time_s": win_trial.time_s,
             "default_time_s": default_time,
             "candidates": len(trials),
             "search_s": result.search_s,
-            "raced": sum(1 for t in trials if t.raced),
-        }
-        operator = win_op if isinstance(win_op, FBMPKOperator) else None
-        result.cache_path = store.store(fp, win_trial.plan, meta=meta,
-                                        operator=operator)
-    return win_op, result
+        }, operator=operator)
+    return win_obj, result
+
+
+def _search_power(a, k, fp, store, repeats, warmup, candidates,
+                  max_candidates, seed, budget_s=None):
+    rng = np.random.default_rng(seed)
+    # The identity gate checks THREE independent probe vectors, not one:
+    # a plan with a subtle bug can match the reference on a single
+    # input while differing on others.  Timing uses the first probe;
+    # the extra probes cost one power call each.
+    probes = [rng.standard_normal(a.n_rows) for _ in range(3)]
+
+    def measure(plan):
+        t0 = time.perf_counter()
+        op = instantiate_power(plan, a)
+        build_s = time.perf_counter() - t0
+        try:
+            t, y0 = _time_candidate(lambda: op.power(probes[0], k),
+                                    repeats, warmup)
+            ys = [y0] + [op.power(x, k) for x in probes[1:]]
+        except Exception:
+            op.close()
+            raise
+        return op, build_s, t, ys
+
+    plans = candidates if candidates is not None else power_candidates()
+    return _search("power", fp, store, plans, max_candidates, budget_s,
+                   measure, lambda op: op.close(),
+                   {"k": k, "repeats": repeats})
 
 
 def _default_spmv(a, fp):
@@ -516,11 +449,10 @@ def autotune_spmv(
 
     Returns ``(matvec_callable, TuningResult)``.
 
-    Same protocol as :func:`autotune_power` (including the three-probe
-    bit-identity gate — one vector is too easy to match by rounding
-    coincidence on small matrices, and the ``search_budget_s`` /
-    ``breaker`` resilience guards), except no operator artefact is
-    stored: format conversions are cheap relative to a tuning search.
+    Same protocol as :func:`autotune_power` (the by-design filter, the
+    three-probe bit-identity gate and the ``search_budget_s`` /
+    ``breaker`` resilience guards), except that every probe is timed
+    and no operator artefact is stored.
     """
     store = _resolve_cache(cache)
     brk = _resolve_breaker(breaker)
@@ -565,84 +497,20 @@ def _load_spmv_entry(store, fp, a):
 
 def _search_spmv(a, fp, store, repeats, warmup, candidates, seed,
                  budget_s=None):
-    search_t0 = time.perf_counter()
-    plans = list(candidates) if candidates is not None \
-        else spmv_candidates()
-    deadline = Deadline.after(budget_s) if budget_s is not None \
-        else Deadline.never()
-    budget_exhausted = False
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(a.n_cols) for _ in range(3)]
 
-    trials: List[Trial] = []
-    refs: Optional[List[np.ndarray]] = None
-    best: Optional[Tuple[Trial, Callable]] = None
-    for i, plan in enumerate(plans):
-        if i > 0 and deadline.expired():
-            budget_exhausted = True
-            obs.add_counter("tune.budget_exhausted")
-            break
-        trial = Trial(plan=plan,
-                      by_design=plan_is_bit_identical_by_design(plan))
-        trials.append(trial)
-        obs.add_counter("tune.candidates")
-        with obs.span("tune.candidate", plan=plan.label):
-            try:
-                t0 = time.perf_counter()
-                fn = instantiate_spmv(plan, a)
-                trial.build_time_s = time.perf_counter() - t0
-                times, outs = [], []
-                for x in xs:
-                    t, y = _time_candidate(lambda: fn(x),
-                                           repeats, warmup)
-                    times.append(t)
-                    outs.append(y)
-                trial.time_s = sum(times) / len(times)
-            except Exception as exc:
-                trial.error = repr(exc)
-                obs.add_counter("tune.errors")
-                continue
-            if i == 0:
-                refs = outs
-                trial.identical = True
-            else:
-                trial.identical = all(
-                    np.array_equal(y, r)
-                    for y, r in zip(outs, refs))
-                if not trial.identical:
-                    obs.add_counter("tune.rejected_not_identical")
-                elif not trial.by_design:
-                    obs.event("tune.identical_but_not_by_design",
-                              plan=plan.label)
-            if trial.accepted and (best is None
-                                   or trial.time_s < best[0].time_s):
-                best = (trial, fn)
+    def measure(plan):
+        t0 = time.perf_counter()
+        fn = instantiate_spmv(plan, a)
+        build_s = time.perf_counter() - t0
+        times, outs = zip(*(_time_candidate(lambda: fn(x), repeats, warmup)
+                            for x in xs))
+        return fn, build_s, sum(times) / len(times), outs
 
-    if best is None:
-        raise RuntimeError(
-            "autotune_spmv: no candidate ran successfully; first "
-            "error: "
-            + next((t.error for t in trials if t.error),
-                   "none recorded"))
-    win_trial, win_fn = best
-    default_time = trials[0].time_s
-    result = TuningResult(
-        kind="spmv", fingerprint=fp, plan=win_trial.plan,
-        source="search", trials=trials, default_time_s=default_time,
-        best_time_s=win_trial.time_s, budget_exhausted=budget_exhausted,
-        search_s=time.perf_counter() - search_t0)
-    if default_time is not None:
-        obs.set_gauge("tune.default_time_s", default_time, unit="s")
-    obs.set_gauge("tune.best_time_s", win_trial.time_s, unit="s")
-    if store is not None:
-        result.cache_path = store.store(fp, win_trial.plan, meta={
-            "repeats": repeats,
-            "time_s": win_trial.time_s,
-            "default_time_s": default_time,
-            "candidates": len(trials),
-            "search_s": result.search_s,
-        })
-    return win_fn, result
+    plans = candidates if candidates is not None else spmv_candidates()
+    return _search("spmv", fp, store, plans, None, budget_s, measure,
+                   lambda fn: None, {"repeats": repeats})
 
 
 def tuned_matvec(

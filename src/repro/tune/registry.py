@@ -10,36 +10,31 @@ format, a new executor) becomes tunable by touching this file alone.
 Two candidate spaces exist, matching :data:`repro.tune.plan.PLAN_KINDS`:
 
 * ``power`` — the FBMPK ``A^k x`` pipeline.  Knobs: ``variant``
-  (``"fused"`` sweep-grouped operator or ``"unfused"`` whole-triangle
-  staging with BtB off), ``strategy``
-  (``"abmc"``/``"levels"``/``"levels-blocked"``), ``block_size``
-  (ABMC rows per block; for ``levels-blocked`` the cache-residency
-  block row count), ``backend``
+  (``"fused"``), ``strategy`` (``"abmc"``/``"levels"``/
+  ``"levels-blocked"``), ``block_size`` (ABMC rows per block; for
+  ``levels-blocked`` the cache-residency block row count), ``backend``
   (``"numpy"``/``"scipy"`` sweep kernels), ``executor``
-  (``"serial"``/``"threads"``/``"processes"``) and ``n_threads``.
+  (``"serial"``/``"threads"``/``"processes"``), ``n_threads`` and the
+  dispatch knobs ``assign_policy``/``claim_chunk``/``pin_workers``.
 * ``spmv`` — one sparse matrix-vector product.  Knobs: ``kernel``
   (:data:`repro.sparse.spmv.KERNELS` plus the ``sell`` and ``bsr``
   format conversions) and the kernel's own parameters.
 
-The enumerations always put the library default first; the autotuner
-relies on that to guarantee the default is measured (so "tuned is never
-worse than default" is decided empirically, not assumed).  Candidates
-are *proposals* — some may not even be constructible for a given matrix
-(e.g. BSR needs divisible dimensions) and some are not bit-identical to
-the default path (the unfused variant, SELL/BSR's different summation
-orders); the autotuner rejects those at measurement time.
+:func:`instantiate_power`/:func:`instantiate_spmv` accept any plan
+these knobs describe, but the enumerations list only plans that can
+win: bit-identical to the default by design
+(:func:`plan_is_bit_identical_by_design`) and measured able to beat it.
+The library default is always first; the autotuner relies on that to
+measure the default and use it as the reference and the bar to beat.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
-from ..core.fbmpk import FBMPKOperator, build_fbmpk_operator, fbmpk_unfused
-from ..core.partition import TriangularPartition, split_ldu
-from ..core.plan import execution_cost_hint
+from ..core.fbmpk import FBMPKOperator, build_fbmpk_operator
 from ..sparse.bsr import BSRMatrix
 from ..sparse.csr import CSRMatrix
 from ..sparse.sell import SellCSigmaMatrix
@@ -52,10 +47,8 @@ from .plan import (
 )
 
 __all__ = [
-    "UnfusedPowerOperator",
     "power_candidates",
     "spmv_candidates",
-    "order_power_candidates",
     "plan_is_bit_identical_by_design",
     "instantiate_power",
     "instantiate_spmv",
@@ -91,11 +84,12 @@ def plan_is_bit_identical_by_design(plan: ExecutionPlan) -> bool:
     dimensions (:data:`_POWER_EXECUTION_ONLY_KEYS`).  SpMV plans qualify
     for the kernels in :data:`_SPMV_KERNELS_BY_DESIGN`.
 
-    The autotuner requires this *in addition to* the empirical probe
-    check before a candidate may win: on small matrices a numerically
-    different plan can match the default on any finite set of probes by
-    rounding coincidence, so probes alone cannot certify bit-identity
-    on future inputs.
+    The autotuner drops every other plan before instantiating it, and
+    still runs the empirical probe check on the rest: on small matrices
+    a numerically different plan can match the default on any finite
+    set of probes by rounding coincidence, so probes alone cannot
+    certify bit-identity on future inputs, while the probes catch
+    implementation bugs in plans that should be identical.
     """
     params = plan.params
     if plan.kind == "power":
@@ -108,173 +102,35 @@ def plan_is_bit_identical_by_design(plan: ExecutionPlan) -> bool:
     return False
 
 
-class UnfusedPowerOperator:
-    """Adapter giving :func:`repro.core.fbmpk.fbmpk_unfused` the same
-    call surface as :class:`~repro.core.fbmpk.FBMPKOperator`.
-
-    Represents the BtB-off execution choice: whole-triangle products and
-    separate even/odd vectors instead of fused grouped sweeps over the
-    interleaved pair.  Its summation order differs from the fused path,
-    so it is generally *not* bit-identical to the default — it exists in
-    the candidate space to let the bit-identity gate document that
-    empirically rather than by fiat.
-    """
-
-    def __init__(self, part: TriangularPartition) -> None:
-        self.part = part
-        self.executor = "serial"
-
-    @property
-    def n(self) -> int:
-        return self.part.n
-
-    def power(self, x: np.ndarray, k: int, on_iterate=None,
-              counter=None, check_finite: bool = False) -> np.ndarray:
-        # counter/check_finite accepted for interface parity; the
-        # unfused staging has no instrumented kernels to count.
-        y = fbmpk_unfused(self.part, x, k, on_iterate=on_iterate)
-        if check_finite and not np.all(np.isfinite(y)):
-            raise FloatingPointError("non-finite value in unfused power")
-        return y
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "UnfusedPowerOperator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _default_thread_counts() -> List[int]:
-    """Thread counts worth probing on this host: 2 and the core count,
-    deduplicated, excluding anything a 1-core host cannot exploit."""
-    cores = os.cpu_count() or 1
-    return sorted({c for c in (2, cores) if c > 1})
-
-
-#: Work-stealing claim-chunk values the joint executor × block-size ×
-#: claim-chunk search probes for process plans.  ``None`` is the
-#: auto-sized default (~4 steals per worker per phase); 1 maximises
-#: rebalancing, 8 minimises cursor traffic.
-_CLAIM_CHUNKS = (None, 1, 8)
-
-
-def power_candidates(
-    thread_counts: Optional[Sequence[int]] = None,
-    include_unfused: bool = True,
-) -> List[ExecutionPlan]:
+def power_candidates() -> List[ExecutionPlan]:
     """Enumerate the power-kernel plan space, default plan first.
 
-    ``thread_counts=None`` probes :func:`_default_thread_counts`; pass
-    an explicit sequence to widen or suppress threaded candidates.
-    Process plans are enumerated jointly over executor × block size ×
-    claim chunk (:data:`_CLAIM_CHUNKS`), so the batched dispatch
-    granularity is tuned together with the schedule it drains.
+    Admission rule: a plan is listed only if it is bit-identical to the
+    default by design (:func:`plan_is_bit_identical_by_design`) *and* a
+    measurement on this host shows it can beat the default.  Plans that
+    change the arithmetic (another strategy, block size, backend or the
+    unfused variant) can never pass the tuner's gate, so timing them is
+    pure cost.  The by-design parallel plans — the default ABMC
+    schedule on threads or processes — make one kernel call per ABMC
+    block, i.e. per row at ``block_size=1``, and measured 40–450×
+    slower than serial on the 8000-row stand-ins at k=4.  So today the
+    space is the default alone.  Merging the parallel executors' descriptors by
+    bytes is the change that would let threads and processes back in.
     """
-    if thread_counts is None:
-        thread_counts = _default_thread_counts()
-    default = default_power_plan()
-    plans = [default]
-    # levels-blocked block sizes bracket the residency regime: 256 rows
-    # keeps the (2k-1)-block wavefront window inside L2-sized caches,
-    # 4096 inside the shared LLC.  The scipy backend is omitted for
-    # levels-blocked: its blocked sweep kernel is backend-independent.
-    strategies = [("abmc", 1), ("abmc", 256), ("levels", 1),
-                  ("levels-blocked", 256), ("levels-blocked", 4096)]
-    for strategy, block_size in strategies:
-        backends = ("numpy",) if strategy == "levels-blocked" \
-            else ("numpy", "scipy")
-        for backend in backends:
-            fused = ExecutionPlan("power", {
-                "variant": "fused",
-                "strategy": strategy,
-                "block_size": block_size,
-                "backend": backend,
-                "executor": "serial",
-            })
-            if fused != default:
-                plans.append(fused)
-            for parallel_exec in ("threads", "processes"):
-                chunks = _CLAIM_CHUNKS if parallel_exec == "processes" \
-                    else (None,)
-                for n_threads in thread_counts:
-                    for chunk in chunks:
-                        params = {
-                            "variant": "fused",
-                            "strategy": strategy,
-                            "block_size": block_size,
-                            "backend": backend,
-                            "executor": parallel_exec,
-                            "n_threads": int(n_threads),
-                        }
-                        if chunk is not None:
-                            params["claim_chunk"] = int(chunk)
-                        plans.append(ExecutionPlan("power", params))
-    if include_unfused:
-        plans.append(ExecutionPlan("power", {
-            "variant": "unfused",
-            "strategy": "none",
-            "block_size": 1,
-            "backend": "numpy",
-            "executor": "serial",
-        }))
-    return plans
+    return [default_power_plan()]
 
 
 def spmv_candidates() -> List[ExecutionPlan]:
-    """Enumerate the SpMV plan space, default kernel first."""
+    """Enumerate the SpMV plan space, default kernel first.
+
+    Only the ``reduce_rows`` kernels are listed: ``scipy``, ``sell``
+    and ``bsr`` reorder the per-row summation and so can never pass the
+    tuner's gate (their kernels stay in :mod:`repro.sparse`).
+    """
     return [
         default_spmv_plan(),
-        ExecutionPlan("spmv", {"kernel": "scipy"}),
         ExecutionPlan("spmv", {"kernel": "blocked", "block_rows": 4096}),
-        ExecutionPlan("spmv", {"kernel": "sell", "c": 8, "sigma": 64}),
-        ExecutionPlan("spmv", {"kernel": "bsr", "r": 2}),
     ]
-
-
-def order_power_candidates(
-    plans: Sequence[ExecutionPlan],
-    a: CSRMatrix,
-    k: int,
-) -> List[ExecutionPlan]:
-    """Stable-sort power candidates by the analytic cost hint
-    (:func:`repro.core.plan.execution_cost_hint`), keeping the default
-    plan at position 0.
-
-    The hint only reorders the empirical search — it never accepts or
-    rejects a plan — so a truncated search (``max_candidates``) spends
-    its budget on the analytically promising region first.
-    """
-    if not plans:
-        return []
-    head, tail = plans[0], list(plans[1:])
-
-    def hint(plan: ExecutionPlan) -> float:
-        params = plan.params
-        if params.get("variant") == "unfused":
-            method = "standard"
-        elif params.get("strategy") == "levels-blocked":
-            method = "levels-blocked"
-        else:
-            method = "fbmpk"
-        n_threads = int(params.get("n_threads") or 1)
-        # Group count before preprocessing is unknown; charge a nominal
-        # per-sweep barrier population for threaded plans.  For
-        # levels-blocked the group count is the block count, which the
-        # block-size knob pins well enough for ordering purposes.
-        n_groups = 8 if n_threads > 1 else 1
-        if method == "levels-blocked":
-            block = max(int(params.get("block_size", 256)), 1)
-            n_groups = max(-(-a.n_rows // block), 1)
-        return execution_cost_hint(
-            k, a.n_rows, a.nnz, method=method, n_groups=n_groups,
-            n_threads=n_threads,
-            executor=params.get("executor", "serial"))
-
-    tail.sort(key=hint)
-    return [head] + tail
 
 
 def instantiate_power(
@@ -294,8 +150,6 @@ def instantiate_power(
         raise PlanFormatError(f"not a power plan: {plan.kind!r}")
     params = plan.params
     variant = params.get("variant", "fused")
-    if variant == "unfused":
-        return UnfusedPowerOperator(split_ldu(a))
     if variant != "fused":
         raise PlanFormatError(f"unknown power variant {variant!r}")
     backend = params.get("backend", "numpy")
@@ -306,12 +160,7 @@ def instantiate_power(
     pin_workers = params.get("pin_workers")
     if claim_chunk is not None:
         claim_chunk = int(claim_chunk)
-    # Saved-operator artefacts only exist for FBMPKOperator winners;
-    # a levels-blocked plan always rebuilds (its preprocessing is a
-    # single cheap level sweep, not the ABMC colouring the artefact
-    # amortises).
-    if operator_path is not None \
-            and params.get("strategy") != "levels-blocked":
+    if operator_path is not None:
         try:
             return FBMPKOperator.load(
                 operator_path, backend=backend, executor=executor,

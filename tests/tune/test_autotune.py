@@ -1,5 +1,6 @@
-"""The autotuner loop: winner selection, the bit-identity gate, cache
-amortisation (second call skips the search), trimmed-mean timing."""
+"""The autotuner loop: winner selection, the by-design filter and the
+bit-identity gate, cache amortisation (second call skips the search),
+trimmed-mean timing, input validation."""
 
 import numpy as np
 import pytest
@@ -12,34 +13,45 @@ from repro.tune import (
     autotune_power,
     autotune_spmv,
     default_power_plan,
+    default_spmv_plan,
+    plan_is_bit_identical_by_design,
     power_candidates,
+    spmv_candidates,
     trimmed_mean,
     tuned_matvec,
 )
+from repro.tune import autotuner
 
-# A small candidate set keeping search-path tests fast: the default,
-# a serial alternative, and a threaded plan (the executor dimension).
-FAST_POWER_CANDIDATES = [
-    default_power_plan(),
-    ExecutionPlan("power", {"variant": "fused", "strategy": "levels",
-                            "block_size": 1, "backend": "numpy",
-                            "executor": "serial"}),
-    ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
-                            "block_size": 1, "backend": "numpy",
-                            "executor": "threads", "n_threads": 2}),
-]
+THREADS_PLAN = ExecutionPlan("power", {
+    "variant": "fused", "strategy": "abmc", "block_size": 1,
+    "backend": "numpy", "executor": "threads", "n_threads": 2})
+
+#: Not bit-identical by design: a different grouping permutes the
+#: matrix and with it every row's accumulation order.
+LEVELS_PLAN = ExecutionPlan("power", {
+    "variant": "fused", "strategy": "levels", "block_size": 1,
+    "backend": "numpy", "executor": "serial"})
+
+UNFUSED_PLAN = ExecutionPlan("power", {
+    "variant": "unfused", "strategy": "none", "block_size": 1,
+    "backend": "numpy", "executor": "serial"})
+
+# A small candidate set keeping search-path tests fast: the default and
+# a threaded plan (the executor dimension, bit-identical by design).
+FAST_POWER_CANDIDATES = [default_power_plan(), THREADS_PLAN]
 
 
 def _tune(a, k=4, **kw):
-    # racing=False: these tests assert on complete per-candidate
-    # measurements (scripted or real); the racing fast path has its own
-    # tests below.
     kw.setdefault("cache", False)
     kw.setdefault("repeats", 1)
     kw.setdefault("warmup", 0)
     kw.setdefault("candidates", FAST_POWER_CANDIDATES)
-    kw.setdefault("racing", False)
     return autotune_power(a, k=k, **kw)
+
+
+def _counters(tel):
+    return {name: c["value"] for name, c
+            in tel.metrics.snapshot()["counters"].items()}
 
 
 # -- trimmed mean ----------------------------------------------------------
@@ -77,19 +89,41 @@ def test_winner_is_bit_identical_to_default(grid, rng):
         ref.close()
 
 
-def test_non_identical_candidates_are_rejected(grid):
-    unfused = ExecutionPlan("power", {"variant": "unfused",
-                                      "strategy": "none", "block_size": 1,
-                                      "backend": "numpy",
-                                      "executor": "serial"})
-    op, res = _tune(grid, candidates=[default_power_plan(), unfused])
+class _OffByOneUlp:
+    """Wraps an operator so its output differs from the reference in
+    one entry by one ulp — the smallest change the gate must catch."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def power(self, x, k):
+        y = self.op.power(x, k).copy()
+        y[0] = np.nextafter(y[0], np.inf)
+        return y
+
+    def close(self):
+        self.op.close()
+
+
+def test_non_identical_candidates_are_rejected(grid, monkeypatch):
+    """A by-design candidate whose output is off by one ulp is caught by
+    the probe check and cannot win, even when it is faster."""
+    real = autotuner.instantiate_power
+
+    def instantiate(plan, a, **kw):
+        op = real(plan, a, **kw)
+        return _OffByOneUlp(op) if plan == THREADS_PLAN else op
+
+    monkeypatch.setattr(autotuner, "instantiate_power", instantiate)
+    _scripted_times(monkeypatch, [1.0, 0.5])
+    with obs.Telemetry() as tel:
+        op, res = _tune(grid)
     try:
-        trial = next(t for t in res.trials if t.plan == unfused)
-        # The unfused variant's summation order differs; the gate must
-        # catch that empirically and keep it from winning.
+        trial = next(t for t in res.trials if t.plan == THREADS_PLAN)
         assert trial.identical is False
         assert not trial.accepted
         assert res.plan == default_power_plan()
+        assert _counters(tel)["tune.rejected_not_identical"] == 1
     finally:
         op.close()
 
@@ -130,33 +164,44 @@ def test_spmv_plan_design_identity_classification(params, expected):
         ExecutionPlan("spmv", params)) is expected
 
 
-def test_probe_coincidence_cannot_win():
-    """A plan that happens to match the default on every probe but does
-    not share its arithmetic by construction (e.g. the unfused variant
-    on a tiny matrix — the rounding coincidence the property suite
-    found) must still be ineligible."""
-    from repro.tune import Trial
-
-    unfused = ExecutionPlan("power", {"variant": "unfused",
-                                      "strategy": "none", "block_size": 1,
-                                      "backend": "numpy",
-                                      "executor": "serial"})
-    trial = Trial(plan=unfused, time_s=0.0, identical=True,
-                  by_design=False)
-    assert not trial.accepted
+def test_registry_candidates_are_by_design():
+    """The enumerated spaces hold only plans that can win."""
+    for plan in power_candidates() + spmv_candidates():
+        assert plan_is_bit_identical_by_design(plan), plan.label
+    assert power_candidates()[0] == default_power_plan()
+    assert spmv_candidates()[0] == default_spmv_plan()
 
 
-PROCESSES_PLAN = ExecutionPlan("power", {
-    "variant": "fused", "strategy": "abmc", "block_size": 1,
-    "backend": "numpy", "executor": "processes", "n_threads": 2})
+def test_probe_coincidence_cannot_win(grid, monkeypatch):
+    """A plan that does not share the default's arithmetic by
+    construction may match it on every probe by rounding coincidence
+    (the unfused variant did on tiny matrices), so it is dropped from a
+    caller's list before it is ever instantiated, and counted."""
+    real = autotuner.instantiate_power
+    built = []
+
+    def instantiate(plan, a, **kw):
+        built.append(plan)
+        return real(plan, a, **kw)
+
+    monkeypatch.setattr(autotuner, "instantiate_power", instantiate)
+    with obs.Telemetry() as tel:
+        op, res = _tune(grid, candidates=[default_power_plan(),
+                                          UNFUSED_PLAN, LEVELS_PLAN,
+                                          THREADS_PLAN])
+    try:
+        assert built == [default_power_plan(), THREADS_PLAN]
+        assert [t.plan for t in res.trials] == built
+        assert res.plan in built
+        assert _counters(tel)["tune.skipped_not_by_design"] == 2
+    finally:
+        op.close()
 
 
 def _scripted_times(monkeypatch, times):
     """Replace the timing probe with scripted wall-clocks (one per
     candidate, in search order) while still running the real operator
     once so bit-identity checks stay genuine."""
-    from repro.tune import autotuner
-
     queue = list(times)
 
     def fake(fn, repeats, warmup):
@@ -165,55 +210,44 @@ def _scripted_times(monkeypatch, times):
     monkeypatch.setattr(autotuner, "_time_candidate", fake)
 
 
+PROCESSES_PLAN = ExecutionPlan("power", {
+    "variant": "fused", "strategy": "abmc", "block_size": 1,
+    "backend": "numpy", "executor": "processes", "n_threads": 2})
+
+
 def test_slow_processes_plan_never_selected(grid, monkeypatch):
-    """Efficiency guard: a processes plan measured no faster than the
-    serial default (speedup_vs_serial < 1) must be disqualified even
-    though it is bit-identical and ran without error."""
+    """A processes plan measured no faster than the serial default
+    loses to it: the default sets the bar every later candidate must
+    beat, even a bit-identical one that ran without error."""
     _scripted_times(monkeypatch, [1.0, 2.0])
-    with obs.Telemetry() as tel:
-        op, res = _tune(grid, candidates=[default_power_plan(),
-                                          PROCESSES_PLAN])
-    counters = {name: c["value"] for name, c
-                in tel.metrics.snapshot()["counters"].items()}
+    op, res = _tune(grid, candidates=[default_power_plan(),
+                                      PROCESSES_PLAN])
     try:
         trial = next(t for t in res.trials if t.plan == PROCESSES_PLAN)
-        assert trial.identical and trial.by_design and trial.error is None
-        assert trial.efficient is False
-        assert not trial.accepted
+        assert trial.identical and trial.error is None
         assert res.plan == default_power_plan()
-        assert counters["tune.rejected_inefficient"] == 1
     finally:
         op.close()
 
 
 def test_fast_processes_plan_still_eligible(grid, monkeypatch):
-    """The guard only fires on a measured slowdown: a processes plan
-    that beats the serial default stays eligible and wins."""
+    """A processes plan that beats the serial default stays eligible
+    and wins."""
     _scripted_times(monkeypatch, [1.0, 0.5])
     op, res = _tune(grid, candidates=[default_power_plan(),
                                       PROCESSES_PLAN])
     try:
         trial = next(t for t in res.trials if t.plan == PROCESSES_PLAN)
-        assert trial.efficient is None
         assert trial.accepted
         assert res.plan == PROCESSES_PLAN
     finally:
         op.close()
 
 
-def test_inefficient_trial_not_accepted():
-    from repro.tune import Trial
-
-    trial = Trial(plan=PROCESSES_PLAN, time_s=2.0, identical=True,
-                  by_design=True, efficient=False)
-    assert not trial.accepted
-
-
 def test_broken_candidate_recorded_not_fatal(grid):
-    broken = ExecutionPlan("power", {"variant": "fused",
-                                     "strategy": "no-such-strategy",
-                                     "block_size": 1, "backend": "numpy",
-                                     "executor": "serial"})
+    # By design (only the executor differs), so it is instantiated.
+    broken = ExecutionPlan("power", {**default_power_plan().params,
+                                     "executor": "no-such-executor"})
     op, res = _tune(grid, candidates=[default_power_plan(), broken])
     try:
         trial = next(t for t in res.trials if t.plan == broken)
@@ -234,12 +268,42 @@ def test_full_candidate_space_runs(grid):
 
 
 def test_max_candidates_keeps_default(grid):
-    op, res = _tune(grid, candidates=None, max_candidates=2)
+    threads3 = ExecutionPlan("power", {**THREADS_PLAN.params,
+                                       "n_threads": 3})
+    op, res = _tune(grid, candidates=FAST_POWER_CANDIDATES + [threads3],
+                    max_candidates=2)
     try:
         assert len(res.trials) == 2
         assert res.trials[0].plan == default_power_plan()
     finally:
         op.close()
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_max_candidates_below_one_rejected(grid, bad):
+    with pytest.raises(ValueError, match="max_candidates"):
+        _tune(grid, max_candidates=bad)
+
+
+def test_reference_failure_raises_runtime_error(grid):
+    """Without the reference outputs no later candidate can be checked:
+    a failing first candidate ends the search with a RuntimeError that
+    names the reference plan and its error."""
+    broken = ExecutionPlan("power", {**default_power_plan().params,
+                                     "executor": "no-such-executor"})
+    assert plan_is_bit_identical_by_design(broken)
+    with pytest.raises(RuntimeError, match="reference plan.*no-such"):
+        _tune(grid, candidates=[broken, default_power_plan()],
+              breaker=False)
+
+
+def test_spmv_reference_failure_raises_runtime_error(grid):
+    broken = ExecutionPlan("spmv", {"kernel": "blocked",
+                                    "block_rows": "not-a-number"})
+    with pytest.raises(RuntimeError, match="reference plan.*not-a-number"):
+        autotune_spmv(grid, cache=False, repeats=1, warmup=0,
+                      candidates=[broken, default_spmv_plan()],
+                      breaker=False)
 
 
 # -- cache amortisation ----------------------------------------------------
@@ -253,8 +317,7 @@ def test_second_call_hits_cache(tmp_path, grid, rng):
 
     with obs.Telemetry() as tel:
         op2, res2 = _tune(grid, cache=cache)
-    counters = {name: c["value"] for name, c
-                in tel.metrics.snapshot()["counters"].items()}
+    counters = _counters(tel)
     try:
         assert res2.source == "cache"
         assert res2.plan == res1.plan
@@ -338,70 +401,21 @@ def test_tune_telemetry_counters(grid):
     assert "tune.candidate" in span_names
 
 
-# -- racing ----------------------------------------------------------------
-def test_racing_drops_hopeless_candidate(grid):
-    """A processes plan on a 64-row grid pays per-call dispatch far
-    beyond the racing margin over serial: with racing on, its first
-    timed repeat disqualifies it — no further repeats, no identity
-    probes — and the default still wins."""
-    with obs.Telemetry() as tel:
-        op, res = _tune(grid, racing=True, repeats=3,
-                        candidates=[default_power_plan(), PROCESSES_PLAN])
-    counters = {name: c["value"] for name, c
-                in tel.metrics.snapshot()["counters"].items()}
-    try:
-        trial = next(t for t in res.trials if t.plan == PROCESSES_PLAN)
-        assert trial.raced is True
-        assert trial.time_s is not None  # the pessimistic single repeat
-        assert trial.identical is None   # probes were skipped
-        assert not trial.accepted
-        assert res.plan == default_power_plan()
-        assert counters["tune.candidates_raced"] == 1
-    finally:
-        op.close()
-
-
-def test_racing_never_races_the_default(grid):
-    """Candidate 0 defines the reference outputs, so it is always fully
-    measured regardless of racing."""
-    op, res = _tune(grid, racing=True, repeats=2)
-    try:
-        assert res.trials[0].raced is None
-        assert res.trials[0].identical is True
-    finally:
-        op.close()
-
-
-def test_racing_keeps_competitive_candidates(grid):
-    """A serial candidate within the margin survives racing and is
-    fully measured and identity-gated like before."""
-    op, res = _tune(grid, racing=True, repeats=2,
-                    candidates=FAST_POWER_CANDIDATES[:2])
-    try:
-        survivor = res.trials[1]
-        if survivor.raced is not True:  # survived the first repeat
-            assert survivor.raced is False
-            assert survivor.identical is not None
-    finally:
-        op.close()
-
-
+# -- search wall time -------------------------------------------------------
 def test_search_s_recorded(grid):
-    for racing in (False, True):
-        op, res = _tune(grid, racing=racing)
-        try:
-            assert res.source == "search"
-            assert res.search_s is not None and res.search_s > 0.0
-        finally:
-            op.close()
+    op, res = _tune(grid)
+    try:
+        assert res.source == "search"
+        assert res.search_s is not None and res.search_s > 0.0
+    finally:
+        op.close()
 
 
 def test_search_s_in_cache_meta(tmp_path, grid):
     import json
 
     cache = PlanCache(tmp_path)
-    op, res = _tune(grid, cache=cache, racing=True)
+    op, res = _tune(grid, cache=cache)
     op.close()
     payload = json.loads(res.cache_path.read_text())
     assert payload["meta"]["search_s"] > 0.0
-    assert payload["meta"]["raced"] >= 0

@@ -35,8 +35,7 @@ CANDIDATES = {
 def test_tuned_power_bit_identical(any_matrix, k, executor, rng):
     a = any_matrix
     op, res = autotune_power(a, k=k, cache=False, repeats=1, warmup=0,
-                             candidates=CANDIDATES[executor],
-                             racing=False)
+                             candidates=CANDIDATES[executor])
     ref = build_fbmpk_operator(a)
     try:
         for _ in range(2):  # fresh inputs, not the tuning probe
@@ -51,8 +50,7 @@ def test_threaded_winner_forced(grid, rng):
     """When only a threaded plan competes against the default and both
     are identical, whichever wins still matches the default bits."""
     op, res = autotune_power(grid, k=8, cache=False, repeats=1, warmup=0,
-                             candidates=CANDIDATES["threads"],
-                             racing=False)
+                             candidates=CANDIDATES["threads"])
     ref = build_fbmpk_operator(grid)
     try:
         threaded = next(t for t in res.trials
